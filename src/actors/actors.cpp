@@ -13,6 +13,7 @@ using ecash::Outcome;
 using ecash::Refusal;
 using ecash::RefusalReason;
 using metrics::OpCounters;
+using Counters = metrics::ResilienceCounters;
 using metrics::ScopedOpCounting;
 using wire::Reader;
 using wire::Writer;
@@ -66,6 +67,13 @@ void ProtocolActor::trace_note(const obs::TraceContext& ctx,
                                std::string_view name,
                                std::string_view detail) {
   if (auto* tr = tracer()) tr->event(ctx, name, detail);
+}
+
+void ProtocolActor::note(std::uint64_t metrics::ResilienceCounters::*counter,
+                         const obs::TraceContext& ctx, std::string_view event,
+                         std::string_view detail) {
+  ++(resilience_.*counter);
+  trace_note(ctx, event, detail);
 }
 
 // ---------------------------------------------------------------------------
@@ -217,8 +225,8 @@ void MerchantActor::handle_transcript(const Message& msg) {
     // Service was already delivered and the pay.service ack was lost in
     // transit; re-acknowledge.  The transcript only completes once — the
     // deposit queue and service counters are untouched.
-    ++resilience_.duplicates_suppressed;
-    trace_note(msg.trace, "dup.suppressed", "transcript for serviced coin");
+    note(&Counters::duplicates_suppressed, msg.trace, "dup.suppressed",
+         "transcript for serviced coin");
     Writer w;
     put_hash(w, coin_hash);
     send_now(Message{id(), msg.from, "pay.service", w.take(), msg.trace});
@@ -230,8 +238,8 @@ void MerchantActor::handle_transcript(const Message& msg) {
       // re-drive the sign requests.  Witnesses re-issue endorsements for an
       // identical transcript idempotently, and duplicate endorsements are
       // suppressed in handle_sign_reply.
-      ++resilience_.duplicates_suppressed;
-      trace_note(msg.trace, "dup.suppressed", "transcript re-drive");
+      note(&Counters::duplicates_suppressed, msg.trace, "dup.suppressed",
+           "transcript re-drive");
       it->second.trace = msg.trace;  // latest retransmission owns the phase
       Writer w;
       transcript.encode(w);
@@ -327,8 +335,8 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
     auto proof = ecash::DoubleSpendProof::decode(r);
     auto client = in_flight_.find(proof.coin_hash);
     if (client == in_flight_.end()) {
-      ++resilience_.late_replies_ignored;
-      trace_note(msg.trace, "late_reply.ignored", "double-spend proof");
+      note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+           "double-spend proof");
       return;
     }
     OpCounters ops;
@@ -358,8 +366,8 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
   const Hash256 coin_hash = get_hash(r);
   auto client = in_flight_.find(coin_hash);
   if (client == in_flight_.end()) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", msg.type);
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         msg.type);
     return;
   }
 
@@ -389,8 +397,8 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
       if (done.refusal().reason == RefusalReason::kDuplicate) {
         // A re-driven sign request produced a second identical endorsement;
         // not a protocol failure, just a duplicate delivery.
-        ++resilience_.duplicates_suppressed;
-        trace_note(payment_trace, "dup.suppressed", "duplicate endorsement");
+        note(&Counters::duplicates_suppressed, payment_trace, "dup.suppressed",
+             "duplicate endorsement");
         return;
       }
       put_hash(w, coin_hash);
@@ -468,9 +476,8 @@ void MerchantActor::arm_deposit_timer(const Hash256& coin_hash,
         if (pd.attempts >= retry_.max_attempts) {
           // Keep the transcript; a later flush_deposits() re-submits it.
           pd.exhausted = true;
-          ++resilience_.timeouts;
-          trace_note(pd.span, "rpc.exhausted",
-                     "deposit retries exhausted; parked for next flush");
+          note(&Counters::timeouts, pd.span, "rpc.exhausted",
+               "deposit retries exhausted; parked for next flush");
           if (auto* tr = tracer()) tr->end_span(pd.span, "exhausted");
           pd.span = obs::TraceContext{};
           return;
@@ -485,9 +492,8 @@ void MerchantActor::arm_deposit_timer(const Hash256& coin_hash,
               if (it2->second.exhausted ||
                   it2->second.attempts != attempts_when_armed)
                 return;
-              ++resilience_.retries;
-              trace_note(it2->second.span, "rpc.retry",
-                         "deposit attempt timed out; resending");
+              note(&Counters::retries, it2->second.span, "rpc.retry",
+                   "deposit attempt timed out; resending");
               send_deposit(coin_hash);
             });
       });
@@ -504,9 +510,8 @@ void MerchantActor::handle_deposit_receipt(const Message& msg) {
     if (reason == RefusalReason::kAlreadyDeposited) {
       // An earlier retry landed and only the receipt was lost: that is an
       // ack, not an error.
-      ++resilience_.duplicates_suppressed;
-      trace_note(it->second.span, "dup.suppressed",
-                 "already deposited: lost receipt, not an error");
+      note(&Counters::duplicates_suppressed, it->second.span, "dup.suppressed",
+           "already deposited: lost receipt, not an error");
     } else {
       status = "refused";
     }
@@ -573,8 +578,8 @@ void ClientActor::withdraw(Cents denomination, WithdrawCallback done,
           auto cb = std::move(it->second.done);
           const auto span = it->second.span;
           m.erase(it);
-          ++resilience_.timeouts;
-          trace_note(span, "rpc.timeout", "withdrawal deadline expired");
+          note(&Counters::timeouts, span, "rpc.timeout",
+               "withdrawal deadline expired");
           if (auto* tr = tracer()) tr->end_span(span, "timeout");
           cb(Refusal{RefusalReason::kInternal, "timeout"});
           return true;
@@ -618,8 +623,8 @@ void ClientActor::on_withdraw_silence(bool by_session, std::uint64_t key,
   if (pending->attempts != attempts) return;  // a newer attempt is in flight
   trace_note(pending->span, "rpc.silence", "no broker reply before timeout");
   if (health_.record_failure(directory_.broker, now_ms())) {
-    ++resilience_.breaker_trips;
-    trace_note(pending->span, "breaker.trip", "broker circuit opened");
+    note(&Counters::breaker_trips, pending->span, "breaker.trip",
+         "broker circuit opened");
   }
   if (pending->attempts >= retry_.max_attempts) return;  // deadline decides
   const SimTime backoff = retry_.next_backoff(pending->prev_backoff,
@@ -635,8 +640,7 @@ void ClientActor::on_withdraw_silence(bool by_session, std::uint64_t key,
       return;
     }
     ++p->attempts;
-    ++resilience_.retries;
-    trace_note(p->span, "rpc.retry", "resending " + p->last_type);
+    note(&Counters::retries, p->span, "rpc.retry", "resending " + p->last_type);
     send_now(Message{id(), directory_.broker, p->last_type, p->last_payload,
                      p->span});
     arm_withdraw_timer(by_session, key, generation, p->attempts);
@@ -650,8 +654,8 @@ void ClientActor::handle_withdraw_offer(const Message& msg) {
   if (it == withdrawal_requests_.end()) {
     // Duplicate offer (retransmitted start, duplicated delivery) — the
     // first copy won and this request id is gone.
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", "withdraw.offer");
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         "withdraw.offer");
     return;
   }
 
@@ -696,8 +700,8 @@ void ClientActor::handle_withdraw_response(const Message& msg) {
     // A refusal straight after withdraw.start carries our request id.
     it = withdrawal_requests_.find(id);
     if (it == withdrawal_requests_.end()) {
-      ++resilience_.late_replies_ignored;
-      trace_note(msg.trace, "late_reply.ignored", "withdraw.refused");
+      note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+           "withdraw.refused");
       return;
     }
     auto pending = std::move(it->second);
@@ -707,8 +711,8 @@ void ClientActor::handle_withdraw_response(const Message& msg) {
     return;
   }
   if (it == withdrawal_sessions_.end()) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", msg.type);
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         msg.type);
     return;
   }
   auto pending = std::move(it->second);
@@ -848,8 +852,8 @@ void ClientActor::pay(const ecash::WalletCoin& coin,
     result.accepted = false;
     result.elapsed_ms = now_ms() - it->second.started;
     result.error = "timeout";
-    ++resilience_.timeouts;
-    trace_note(it->second.phase, "rpc.timeout", "payment deadline expired");
+    note(&Counters::timeouts, it->second.phase, "rpc.timeout",
+         "payment deadline expired");
     finish_payment(it->second, std::move(result));
   });
 }
@@ -889,10 +893,8 @@ void ClientActor::on_commit_silence(const Hash256& coin_hash,
   trace_note(p.phase, "rpc.silence",
              "no commit from witness node " + std::to_string(attempt.node));
   if (health_.record_failure(attempt.node, now_ms())) {
-    ++resilience_.breaker_trips;
-    trace_note(p.phase, "breaker.trip",
-               "witness node " + std::to_string(attempt.node) +
-                   " circuit opened");
+    note(&Counters::breaker_trips, p.phase, "breaker.trip",
+         "witness node " + std::to_string(attempt.node) + " circuit opened");
   }
   engage_next_witness(p);
   if (attempt.attempts >= retry_.max_attempts) {
@@ -914,10 +916,9 @@ void ClientActor::on_commit_silence(const Hash256& coin_hash,
     WitnessAttempt& a2 = p2.plan[index];
     if (a2.committed || a2.refused || a2.exhausted || a2.attempts != attempts)
       return;
-    ++resilience_.retries;
-    trace_note(p2.phase, "rpc.retry",
-               "re-requesting commitment from witness node " +
-                   std::to_string(a2.node));
+    note(&Counters::retries, p2.phase, "rpc.retry",
+         "re-requesting commitment from witness node " +
+             std::to_string(a2.node));
     send_commit_req(p2, index);
   });
 }
@@ -927,9 +928,8 @@ void ClientActor::engage_next_witness(PendingPayment& p) {
     WitnessAttempt& attempt = p.plan[i];
     if (attempt.attempts > 0 || attempt.refused || attempt.exhausted) continue;
     if (!health_.allow(attempt.node, now_ms())) continue;
-    ++resilience_.failovers;
-    trace_note(p.phase, "rpc.failover",
-               "engaging spare witness node " + std::to_string(attempt.node));
+    note(&Counters::failovers, p.phase, "rpc.failover",
+         "engaging spare witness node " + std::to_string(attempt.node));
     send_commit_req(p, i);
     return;
   }
@@ -955,16 +955,16 @@ void ClientActor::handle_commit(const Message& msg) {
   auto commitment = ecash::WitnessCommitment::decode(r);
   auto it = payments_.find(commitment.coin_hash);
   if (it == payments_.end()) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", "pay.commit");
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         "pay.commit");
     return;
   }
   PendingPayment& p = it->second;
   if (commitment.nonce != p.intent.nonce) {
     // A commitment from an earlier, abandoned payment of this coin — its
     // nonce binds a different (salt, merchant) pair.
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", "stale-nonce commitment");
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         "stale-nonce commitment");
     return;
   }
   auto plan_it = std::find_if(p.plan.begin(), p.plan.end(),
@@ -972,13 +972,14 @@ void ClientActor::handle_commit(const Message& msg) {
                                 return a.witness == commitment.witness;
                               });
   if (plan_it == p.plan.end()) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", "unknown witness");
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         "unknown witness");
     return;
   }
   if (plan_it->committed) {
-    ++resilience_.duplicates_suppressed;  // duplicated delivery / resend echo
-    trace_note(p.phase, "dup.suppressed", "duplicate commitment");
+    // Duplicated delivery or resend echo.
+    note(&Counters::duplicates_suppressed, p.phase, "dup.suppressed",
+         "duplicate commitment");
     return;
   }
   plan_it->committed = true;
@@ -1059,8 +1060,8 @@ void ClientActor::on_transcript_silence(const Hash256& coin_hash,
   if (p.transcript_attempts != attempts) return;  // a resend superseded this
   trace_note(p.phase, "rpc.silence", "no merchant reply to transcript");
   if (health_.record_failure(p.merchant_node, now_ms())) {
-    ++resilience_.breaker_trips;
-    trace_note(p.phase, "breaker.trip", "merchant circuit opened");
+    note(&Counters::breaker_trips, p.phase, "breaker.trip",
+         "merchant circuit opened");
   }
   if (p.transcript_attempts >= retry_.max_attempts) {
     // The merchant is the one fixed counterparty — no failover target.
@@ -1078,8 +1079,7 @@ void ClientActor::on_transcript_silence(const Hash256& coin_hash,
     if (it2 == payments_.end() || it2->second.generation != generation) return;
     PendingPayment& p2 = it2->second;
     if (p2.transcript_attempts != attempts) return;
-    ++resilience_.retries;
-    trace_note(p2.phase, "rpc.retry", "resending transcript");
+    note(&Counters::retries, p2.phase, "rpc.retry", "resending transcript");
     send_transcript(p2);
   });
 }
@@ -1090,13 +1090,13 @@ void ClientActor::handle_pay_reply(const Message& msg) {
     auto proof = ecash::DoubleSpendProof::decode(r);
     auto it = payments_.find(proof.coin_hash);
     if (it == payments_.end()) {
-      ++resilience_.late_replies_ignored;
-      trace_note(msg.trace, "late_reply.ignored", "double-spend refusal");
+      note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+           "double-spend refusal");
       return;
     }
     if (msg.from != it->second.merchant_node) {
-      ++resilience_.late_replies_ignored;
-      trace_note(msg.trace, "late_reply.ignored", "wrong merchant");
+      note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+           "wrong merchant");
       return;
     }
     trace_note(it->second.phase, "pay.double_spend",
@@ -1111,8 +1111,8 @@ void ClientActor::handle_pay_reply(const Message& msg) {
   const Hash256 coin_hash = get_hash(r);
   auto it = payments_.find(coin_hash);
   if (it == payments_.end()) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", msg.type);
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         msg.type);
     return;
   }
   PendingPayment& p = it->second;
@@ -1125,8 +1125,8 @@ void ClientActor::handle_pay_reply(const Message& msg) {
                                   return a.node == msg.from;
                                 });
     if (plan_it == p.plan.end()) {
-      ++resilience_.late_replies_ignored;
-      trace_note(msg.trace, "late_reply.ignored", "refusal from non-plan node");
+      note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+           "refusal from non-plan node");
       return;
     }
     plan_it->refused = true;
@@ -1141,8 +1141,8 @@ void ClientActor::handle_pay_reply(const Message& msg) {
   // pay.service / pay.refused come from the payment's merchant; anything
   // else is a stray or stale delivery.
   if (msg.from != p.merchant_node) {
-    ++resilience_.late_replies_ignored;
-    trace_note(msg.trace, "late_reply.ignored", "reply from wrong node");
+    note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
+         "reply from wrong node");
     return;
   }
   PayResult result;

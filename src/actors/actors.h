@@ -63,6 +63,9 @@ class ProtocolActor : public simnet::Node {
 
   Timestamp now() const { return static_cast<Timestamp>(tx_.now()); }
 
+  /// Retry/failover/duplicate accounting for this actor.
+  const metrics::ResilienceCounters& resilience() const { return resilience_; }
+
  protected:
   /// Sends `msg` after charging the compute time for `ops`.
   void send_after_cost(const metrics::OpCounters& ops, Message msg);
@@ -93,9 +96,17 @@ class ProtocolActor : public simnet::Node {
   /// Records a point-in-time annotation on `ctx`'s span.
   void trace_note(const obs::TraceContext& ctx, std::string_view name,
                   std::string_view detail = {});
+  /// Records one resilience event: bumps `counter` and annotates `ctx`'s
+  /// span with `event`, so the counters and the trace never disagree.
+  void note(std::uint64_t metrics::ResilienceCounters::*counter,
+            const obs::TraceContext& ctx, std::string_view event,
+            std::string_view detail = {});
 
   transport::Transport& tx_;
   simnet::CostModel cost_;
+
+ private:
+  metrics::ResilienceCounters resilience_;
 };
 
 /// The broker as an actor: withdrawal, deposit and renewal services.
@@ -145,9 +156,6 @@ class MerchantActor final : public ProtocolActor {
   /// retry or time out cleanly.
   void on_restart();
 
-  /// Retry/duplicate accounting for this actor.
-  const metrics::ResilienceCounters& resilience() const { return resilience_; }
-
  private:
   void handle_commit_request(const Message& msg);
   void handle_transcript(const Message& msg);
@@ -163,7 +171,6 @@ class MerchantActor final : public ProtocolActor {
   ecash::WitnessService& witness_;
   const Directory& directory_;
   RetryPolicy retry_;
-  metrics::ResilienceCounters resilience_;
 
   /// Payments awaiting witness replies, with enough context to re-drive the
   /// witnesses when the client retransmits the transcript.
@@ -212,8 +219,6 @@ class ClientActor final : public ProtocolActor {
     health_.configure(config);
   }
   PeerHealth& health() { return health_; }
-  /// Retry/failover/duplicate accounting for this client.
-  const metrics::ResilienceCounters& resilience() const { return resilience_; }
 
   /// Starts a withdrawal; `done` fires with the coin or a refusal.  With
   /// deadline_ms > 0 the two broker RPCs are retried with backoff until the
@@ -327,7 +332,6 @@ class ClientActor final : public ProtocolActor {
   ecash::Wallet wallet_;
   RetryPolicy retry_;
   PeerHealth health_;
-  metrics::ResilienceCounters resilience_;
 
   std::uint64_t next_request_ = 1;
   /// Withdrawals awaiting the broker's offer, keyed by our request id.

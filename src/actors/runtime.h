@@ -1,21 +1,21 @@
 // runtime.h — a real multithreaded node deployment over TCP.
 //
-// The counterpart of SimWorld (world.h): the same construction recipe —
-// broker, merchant machines (storefront + witness), clients, witness
-// table published to everyone — but hosted on transport::TcpNet, so every
-// protocol message crosses a real loopback TCP connection and every actor
-// runs on a worker-pool strand.  This is the harness the scalability
-// bench drives for true payments/sec: with W worker threads, W payments
-// can be in distinct actors' handlers simultaneously.
+// The same Assembly as SimWorld (world.h) — broker, merchant machines
+// (storefront + witness), clients, witness table published to everyone —
+// hosted on transport::TcpNet, so every protocol message crosses a real
+// loopback TCP connection and every actor runs on a worker-pool strand.
+// This is the harness the scalability bench drives for true payments/sec:
+// with W worker threads, W payments can be in distinct actors' handlers
+// simultaneously.  What the runtime adds around the Assembly is TcpNet
+// and the obs stack (tracer, registry, flight recorder, scrape server).
 //
 // Differences from SimWorld, all forced by realness:
 //   * Time is wall-clock milliseconds (the transport's clock), so runs
 //     are NOT seed-reproducible; determinism tests stay on SimWorld.
-//   * Every service gets its own RNG stream (SimWorld shares one across
-//     the whole world — safe there because the simulation is one thread).
 //   * The default CostModel is free_cost(): real crypto already costs
 //     real time, and the simulated-cost model would just add sleeps.
-//   * No FaultPlan; crash/restart is modeled at the transport
+//   * Journaling is opt-in (Options::durable_stores), and there is no
+//     FaultPlan: crash/restart is modeled at the transport
 //     (TcpNet::set_down) — reconnection is the thing under test.
 //
 // This header is det_lint-scoped (src/actors): it reads no clock and no
@@ -28,13 +28,12 @@
 #include <string>
 #include <vector>
 
-#include "actors/actors.h"
+#include "actors/assembly.h"
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs_server.h"
 #include "obs/trace.h"
-#include "store/log_store.h"
 #include "store/vfs.h"
 #include "transport/tcp_net.h"
 
@@ -71,8 +70,8 @@ class NodeRuntime {
     /// Durable mode: broker and every witness journal coin state into
     /// append-only logs (store::LogStore over an in-process MemVfs), with
     /// group-commit fsync latency exported through the runtime registry
-    /// as store_* histograms — the same recipe SimWorld::durable_stores
-    /// uses, here exercised under real concurrency.
+    /// as store_* histograms — the journals SimWorld always keeps, here
+    /// exercised under real concurrency.
     bool durable_stores = false;
   };
 
@@ -82,8 +81,8 @@ class NodeRuntime {
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   transport::TcpNet& net() { return *net_; }
-  ecash::Broker& broker() { return *broker_; }
-  const Directory& directory() const { return directory_; }
+  ecash::Broker& broker() { return nodes_->broker(); }
+  const Directory& directory() const { return nodes_->directory(); }
 
   // -- observability -------------------------------------------------------
   // The runtime owns the full obs stack: a wall-clock Tracer whose spans
@@ -104,13 +103,19 @@ class NodeRuntime {
   void stop_obs_server();
   obs::ObsServer& obs_server() { return obs_server_; }
 
-  std::vector<MerchantId> merchant_ids() const;
-  MerchantActor& merchant_actor(const MerchantId& id);
-  NodeId merchant_node(const MerchantId& id) const;
+  std::vector<MerchantId> merchant_ids() const {
+    return nodes_->merchant_ids();
+  }
+  MerchantActor& merchant_actor(const MerchantId& id) {
+    return nodes_->merchant_actor(id);
+  }
+  NodeId merchant_node(const MerchantId& id) const {
+    return nodes_->merchant_node(id);
+  }
 
   /// Creates a client endpoint.  Only legal before start() (the TCP
   /// transport fixes its endpoint set when the io loop spawns).
-  ClientActor& add_client();
+  ClientActor& add_client() { return nodes_->add_client(); }
 
   /// Starts the io loop and worker pool; actors begin receiving.
   void start();
@@ -139,18 +144,12 @@ class NodeRuntime {
                              SimTime timeout_ms = 30'000);
 
   /// Sum of the resilience counters across all clients and merchants.
-  metrics::ResilienceCounters resilience_totals() const;
+  /// Call only while the transport is stopped (or quiescent).
+  metrics::ResilienceCounters resilience_totals() const {
+    return nodes_->resilience_totals();
+  }
 
  private:
-  struct MerchantSlot {
-    MerchantId id;
-    std::unique_ptr<crypto::ChaChaRng> rng;  ///< strand-confined stream
-    std::unique_ptr<ecash::Merchant> merchant;
-    std::unique_ptr<ecash::WitnessService> witness;
-    std::unique_ptr<store::LogStore> store;  ///< durable mode only
-    std::unique_ptr<MerchantActor> actor;
-  };
-
   group::SchnorrGroup grp_;
   Options options_;
 
@@ -164,16 +163,9 @@ class NodeRuntime {
   obs::Tracer tracer_;
 
   store::MemVfs store_vfs_;  ///< durable mode only (internally locked)
-  std::unique_ptr<store::LogStore> broker_store_;
 
   std::unique_ptr<transport::TcpNet> net_;
-  std::unique_ptr<crypto::ChaChaRng> broker_rng_;
-  std::unique_ptr<ecash::Broker> broker_;
-  std::unique_ptr<BrokerActor> broker_actor_;
-  Directory directory_;
-  std::vector<MerchantSlot> merchants_;
-  std::vector<std::unique_ptr<ClientActor>> clients_;
-  std::uint64_t next_client_seed_ = 0;
+  std::unique_ptr<Assembly> nodes_;
 
   // LAST: destroyed first, so a live scrape can never observe a
   // half-torn-down runtime.

@@ -1,25 +1,25 @@
-// world.h — assembles a complete simulated deployment: broker node,
-// merchant nodes (storefront + witness) and client nodes on one simnet
-// Network.  The construction mirrors the paper's PlanetLab setup: every
-// party on a different WAN host.
+// world.h — a complete simulated deployment: the Assembly's broker,
+// merchant and client nodes on one simnet Network.  The construction
+// mirrors the paper's PlanetLab setup: every party on a different WAN host.
 //
-// The world owns a FaultPlan wired to each node's crash-recovery hooks:
-// crashing a merchant snapshots its witness state (the synchronous-WAL
-// model — commitments and spent records survive), and restarting restores
-// that snapshot, drops the storefront's half-done payments and resets the
-// actor's volatile RPC state.  The broker likewise snapshots its ledgers.
+// The world owns a FaultPlan wired to each node's crash-recovery hooks.
+// Broker and witnesses always journal into LogStores on an in-memory Vfs,
+// so a crash is a real log tear: the hook cuts the victim's log at a
+// seed-chosen unsynced byte (kill-at-any-byte), and restart reopens it —
+// truncate the torn tail, restore the checkpoint, replay the deltas.  A
+// merchant restart also drops the storefront's half-done payments and
+// resets the actor's volatile RPC state.
 
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "actors/actors.h"
+#include "actors/assembly.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "simnet/fault.h"
 #include "simnet/sim.h"
-#include "store/log_store.h"
 #include "store/vfs.h"
 #include "transport/simnet_transport.h"
 
@@ -48,14 +48,6 @@ class SimWorld {
     bool trace = false;
     /// Ring-buffer capacity of the trace sink (records, spans + events).
     std::size_t trace_capacity = std::size_t{1} << 16;
-    /// When true, broker and witnesses run behind append-only LogStores on
-    /// an in-memory Vfs, and the chaos crash hooks become real
-    /// kill-at-any-byte crash points: a crash tears the log at an
-    /// RNG-chosen unsynced byte and restart recovers by reopening the log
-    /// (truncate torn tail, restore checkpoint, replay deltas).  The
-    /// default (false) keeps the legacy snapshot hooks — and every seeded
-    /// schedule — byte-identical.
-    bool durable_stores = false;
   };
 
   explicit SimWorld(const group::SchnorrGroup& grp, Options options);
@@ -63,18 +55,28 @@ class SimWorld {
   simnet::Simulator& sim() { return sim_; }
   simnet::Network& net() { return *net_; }
   transport::Transport& transport() { return *shim_; }
-  ecash::Broker& broker() { return *broker_; }
-  const Directory& directory() const { return directory_; }
+  ecash::Broker& broker() { return nodes_->broker(); }
+  const Directory& directory() const { return nodes_->directory(); }
   const group::SchnorrGroup& grp() const { return grp_; }
 
-  std::vector<MerchantId> merchant_ids() const;
-  MerchantActor& merchant_actor(const MerchantId& id);
-  ecash::Merchant& merchant(const MerchantId& id);
-  ecash::WitnessService& witness(const MerchantId& id);
-  NodeId merchant_node(const MerchantId& id) const;
+  std::vector<MerchantId> merchant_ids() const {
+    return nodes_->merchant_ids();
+  }
+  MerchantActor& merchant_actor(const MerchantId& id) {
+    return nodes_->merchant_actor(id);
+  }
+  ecash::Merchant& merchant(const MerchantId& id) {
+    return merchant_actor(id).merchant();
+  }
+  ecash::WitnessService& witness(const MerchantId& id) {
+    return merchant_actor(id).witness();
+  }
+  NodeId merchant_node(const MerchantId& id) const {
+    return nodes_->merchant_node(id);
+  }
 
   /// Creates a client node (its own RNG stream derived from the seed).
-  ClientActor& add_client();
+  ClientActor& add_client() { return nodes_->add_client(); }
 
   /// Takes a merchant machine down / up (storefront and witness together).
   void set_merchant_down(const MerchantId& id, bool down);
@@ -89,10 +91,12 @@ class SimWorld {
   void crash_broker(simnet::SimTime at, simnet::SimTime restart_at);
 
   /// Every attached node id (broker, merchants, clients created so far).
-  std::vector<NodeId> all_nodes() const;
+  std::vector<NodeId> all_nodes() const { return nodes_->all_nodes(); }
 
   /// Sum of the resilience counters across all clients and merchant actors.
-  metrics::ResilienceCounters resilience_totals() const;
+  metrics::ResilienceCounters resilience_totals() const {
+    return nodes_->resilience_totals();
+  }
 
   /// The world's metrics registry.  Collectors for the resilience totals,
   /// the thread's op totals, simulator progress and per-world network
@@ -107,23 +111,12 @@ class SimWorld {
   void set_tracing(bool on);
   bool tracing() const { return trace_on_; }
 
-  /// The durable-mode Vfs holding every node's log (see
-  /// Options::durable_stores).  Exposed so tests can inspect or corrupt
-  /// log bytes; file names are "broker.log" and "witness-<id>.log".
+  /// The Vfs holding every node's log.  Exposed so tests can inspect or
+  /// corrupt log bytes; file names are Assembly::kBrokerLog and
+  /// Assembly::witness_log_name(id).
   store::MemVfs& store_vfs() { return store_vfs_; }
 
  private:
-  struct MerchantSlot {
-    MerchantId id;
-    std::unique_ptr<ecash::Merchant> merchant;
-    std::unique_ptr<ecash::WitnessService> witness;
-    std::unique_ptr<MerchantActor> actor;
-    /// Witness snapshot taken by the crash hook (synchronous WAL).
-    std::vector<std::uint8_t> durable;
-    /// Durable mode: the witness's append-only log (reopened on restart).
-    std::unique_ptr<store::LogStore> store;
-  };
-
   void register_collectors();
 
   group::SchnorrGroup grp_;
@@ -133,25 +126,17 @@ class SimWorld {
   obs::TraceSink sink_;
   std::unique_ptr<obs::Tracer> tracer_;
   bool trace_on_ = false;
-  std::unique_ptr<crypto::ChaChaRng> rng_;
+  /// The network's stream: latency and drop sampling, every actor's
+  /// rng(), and the crash hooks' tear points.
+  crypto::ChaChaRng rng_;
   std::unique_ptr<simnet::Network> net_;
   /// The deterministic Transport the actors speak through: a verbatim
-  /// forwarding shim over net_, so the simnet path stays byte-identical.
+  /// forwarding shim over net_.
   std::unique_ptr<transport::SimnetTransport> shim_;
-  std::unique_ptr<ecash::Broker> broker_;
-  std::unique_ptr<BrokerActor> broker_actor_;
-  std::unique_ptr<simnet::FaultPlan> faults_;
-  Directory directory_;
-  std::vector<MerchantSlot> merchants_;
-  std::vector<std::unique_ptr<ClientActor>> clients_;
-  std::vector<std::uint8_t> broker_durable_;
-  /// Durable mode only (empty otherwise): the in-memory filesystem and
-  /// the broker's log.  Declared before the services that journal into
-  /// them are destroyed (members destruct in reverse order, so the stores
-  /// must outlive nothing — services never journal from destructors).
+  /// Every node's log.  Declared before the nodes that journal into it.
   store::MemVfs store_vfs_;
-  std::unique_ptr<store::LogStore> broker_store_;
-  std::uint64_t next_client_seed_ = 0;
+  std::unique_ptr<Assembly> nodes_;
+  std::unique_ptr<simnet::FaultPlan> faults_;
 };
 
 }  // namespace p2pcash::actors

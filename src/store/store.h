@@ -16,20 +16,16 @@
 // tail past the last commit is truncated silently — the service simply
 // never acknowledged those operations.
 //
-// Two implementations:
-//   SnapshotStore — in-memory (no durability): the legacy synchronous-WAL
-//       behavior behind the same seam, used by the deterministic suites
-//       (which must stay byte-identical) and the golden equivalence test.
-//   LogStore (log_store.h) — the real append-only CRC-framed log.
+// The one implementation is LogStore (log_store.h), an append-only
+// CRC-framed log over a Vfs: real files (PosixVfs) or an in-memory
+// filesystem with byte-granular crash tears (MemVfs), which is what the
+// simulator's crash hooks and the crash-point tests run on.
 
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
-
-#include "sync/annotated.h"
 
 namespace p2pcash::store {
 
@@ -72,7 +68,7 @@ class Store {
 /// service MutexLock, so the destructor — running after the lock is
 /// released — makes every delta journaled inside the critical section
 /// durable before the entry point returns its acknowledgement to the
-/// caller.  Null store → no-op (the undurable legacy configuration).
+/// caller.  Null store → no-op (a service running without a journal).
 class StoreCommit {
  public:
   explicit StoreCommit(Store* store) : store_(store) {}
@@ -84,46 +80,6 @@ class StoreCommit {
 
  private:
   Store* store_;
-};
-
-/// In-memory store: remembers the latest checkpoint and the deltas after
-/// it, exactly like the log store minus the file.  commit() is a no-op —
-/// this models the legacy crash hook (snapshot survives "crashes" because
-/// the test harness holds the bytes), and it keeps the deterministic
-/// suites unchanged while exercising the identical journaling code path.
-class SnapshotStore : public Store {
- public:
-  bool empty() const override {
-    sync::MutexLock lock(mu_);
-    return snapshot_.empty() && deltas_.empty() && !checkpointed_;
-  }
-  void append(std::span<const std::uint8_t> delta) override {
-    sync::MutexLock lock(mu_);
-    deltas_.emplace_back(delta.begin(), delta.end());
-  }
-  void commit() override {}
-  void checkpoint(std::vector<std::uint8_t> snapshot) override {
-    sync::MutexLock lock(mu_);
-    snapshot_ = std::move(snapshot);
-    deltas_.clear();
-    checkpointed_ = true;
-  }
-  Recovered recover() override {
-    sync::MutexLock lock(mu_);
-    return {snapshot_, deltas_};
-  }
-
-  /// Number of deltas since the last checkpoint (tests watch journaling).
-  std::size_t delta_count() const {
-    sync::MutexLock lock(mu_);
-    return deltas_.size();
-  }
-
- private:
-  mutable sync::Mutex mu_{"store.log", sync::level::kStore};
-  std::vector<std::uint8_t> snapshot_ P2P_GUARDED_BY(mu_);
-  std::vector<std::vector<std::uint8_t>> deltas_ P2P_GUARDED_BY(mu_);
-  bool checkpointed_ P2P_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace p2pcash::store

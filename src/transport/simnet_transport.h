@@ -1,12 +1,11 @@
 // simnet_transport.h — the deterministic Transport: a forwarding shim
 // over simnet::Network.
 //
-// Every method delegates to exactly the call the actors used to make
-// directly (net.send, sim.schedule, sim.now, net.rng, net.tracer), in the
-// same order, against the same objects.  That is the whole point: with
-// this shim in place the simnet path is byte-identical to the
-// pre-Transport code — same RNG draw sequence, same event ordering, same
-// golden vectors, same chaos schedules.
+// Every method is a one-line delegation to the simnet object the call
+// concerns (net.send, sim.schedule, sim.now, net.rng, net.tracer).  The
+// shim draws no randomness and schedules no events of its own, so a
+// seeded run stays a pure function of its seed: same RNG draw sequence,
+// same event ordering, same chaos schedule on every replay.
 //
 // post() is the one genuinely new entry point (external injection onto an
 // actor's strand).  On simnet a strand is just the single simulator

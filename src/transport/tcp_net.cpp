@@ -304,11 +304,17 @@ void TcpNet::open_listener(Endpoint& ep) {
 void TcpNet::start() {
   if (running_.load(std::memory_order_acquire)) return;
   stopping_.store(false, std::memory_order_release);
-  pool_ = std::make_unique<verify::WorkerPool>(
-      std::max<std::size_t>(1, options_.worker_threads));
-  if (options_.metrics)
-    pool_->instrument(*options_.metrics, "transport_pool_",
-                      [this] { return now(); });
+  // The pool lives from the first start() until destruction: a strand
+  // draining at stop() may still resubmit itself, and a post() racing
+  // stop() may still submit, so the pointer must never go null under them.
+  if (!pool_) {
+    pool_ = std::make_unique<verify::WorkerPool>(
+        std::max<std::size_t>(1, options_.worker_threads));
+    if (options_.metrics)
+      pool_->instrument(*options_.metrics, "transport_pool_",
+                        [this] { return now(); });
+  }
+  // Publishes pool_ to dispatch(), which reads running_ before submitting.
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { io_loop(); });
   // Kick strands for anything post()ed or scheduled before start.
@@ -332,11 +338,12 @@ void TcpNet::stop() {
   stopping_.store(true, std::memory_order_release);
   io_wake();
   if (io_thread_.joinable()) io_thread_.join();
-  // WorkerPool's destructor drains the remaining strand tasks, then joins.
-  // No new messages can arrive (sockets closed) and sends are dropped, so
-  // the mailboxes go quiet and the drain terminates.
-  pool_.reset();
+  // New post()s now only queue (start() kicks them).  Then run every
+  // scheduled strand to empty, including strands that resubmit themselves
+  // after kStrandBatch tasks.  No new messages can arrive (sockets closed)
+  // and sends are dropped, so the mailboxes go quiet and the drain ends.
   running_.store(false, std::memory_order_release);
+  if (pool_) pool_->drain();
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +486,7 @@ void TcpNet::dispatch(NodeId node, std::function<void()> fn) {
     sync::MutexLock lock(ep.mb_mu);
     ep.mailbox.push_back(std::move(fn));
     ep.depth.fetch_add(1, std::memory_order_relaxed);
-    if (!ep.drain_scheduled && pool_) {
+    if (!ep.drain_scheduled && running_.load(std::memory_order_acquire)) {
       ep.drain_scheduled = true;
       do_submit = true;
     }

@@ -129,10 +129,13 @@ class TcpNet final : public Transport {
   /// port) and assigns the NodeId.  Only legal before start().
   NodeId attach(simnet::Node& node) override;
 
-  /// Spawns the io thread and the worker pool.  Idempotent.
+  /// Spawns the io thread (and, on the first start, the worker pool).
+  /// Idempotent.
   void start();
-  /// Joins the io thread, drains and joins the workers, closes every
-  /// socket.  Sends after stop() are silently dropped.  Idempotent.
+  /// Joins the io thread, runs every scheduled strand to empty, closes
+  /// every socket.  The workers stay parked until destruction.  Sends
+  /// after stop() are silently dropped; post()s queue until the next
+  /// start().  Idempotent.
   void stop();
   bool running() const { return running_.load(std::memory_order_acquire); }
 

@@ -7,8 +7,8 @@
 //
 //   (a) SimnetTransport (simnet_transport.h) — a zero-cost shim over the
 //       deterministic simnet::Network.  Every call forwards verbatim to
-//       the objects the actors used to touch directly, so deterministic
-//       tests, chaos schedules and golden traces stay byte-identical; and
+//       the simulator, so a seeded run (chaos schedule and trace
+//       included) replays exactly; and
 //   (b) TcpNet (tcp_net.h) — a real epoll-based TCP io-loop with
 //       length-prefixed framing, per-peer outbound queues, reconnection,
 //       and a worker-thread pool delivering messages on per-endpoint
@@ -29,7 +29,7 @@
 //   * rng(node) returns a generator only ever touched from `node`'s
 //     strand (the simnet implementation returns the network's shared
 //     stream — safe there because the whole simulation is one thread, and
-//     required for byte-identical replay of existing seeds).
+//     it keeps every draw in one seeded sequence).
 
 #pragma once
 

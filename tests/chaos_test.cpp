@@ -1,7 +1,8 @@
 // chaos_test.cpp — seeded fault schedules through the full economy.
 //
 // Each run builds a SimWorld, withdraws coins in a calm window, then lets a
-// seed-derived FaultPlan crash witnesses (with WAL-style recovery), corrupt
+// seed-derived FaultPlan crash witnesses (tearing their logs at a seed-chosen
+// unsynced byte, then recovering by reopening them), corrupt
 // links and split the network while payments — including a concurrent
 // double-spend attempt — run with the resilient RPC pipeline.  Invariants
 // checked after every schedule:
@@ -13,7 +14,9 @@
 //   CLEAN    every payment callback resolves, either accepted or with a
 //            diagnostic;
 //   LIVENESS after all faults clear, a fresh withdrawal and payment go
-//            through, and every queued deposit reaches the broker.
+//            through, and every queued deposit reaches the broker;
+//   TRACED   every resilience counter equals the number of its trace
+//            events.
 //
 // A violated invariant prints the seed plus the full fault schedule and
 // appends both to $P2PCASH_CHAOS_ARTIFACT (default chaos_failures.txt) —
@@ -231,7 +234,32 @@ ChaosRun run_chaos_schedule(std::uint64_t seed) {
   check(world.broker().witness_faults().empty(),
         "a witness signed two transcripts for one coin");
 
+  // Every resilience event is counted and traced by the same note(), so
+  // each counter equals the number of its trace events.  A deposit's spent
+  // retry budget counts as a timeout ("rpc.exhausted" on the deposit
+  // span); a client's spent per-witness budget is only annotated.
   run.totals = world.resilience_totals();
+  const std::string jsonl = world.trace_sink().to_jsonl();
+  auto events = [&jsonl](const std::string& name,
+                         const std::string& detail_prefix = "") {
+    const std::string needle =
+        "\"name\":\"" + name + "\",\"detail\":\"" + detail_prefix;
+    std::uint64_t n = 0;
+    for (auto at = jsonl.find(needle); at != std::string::npos;
+         at = jsonl.find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  const auto& rc = run.totals;
+  check(world.trace_sink().dropped() == 0, "trace ring dropped records");
+  check(rc.retries == events("rpc.retry") &&
+            rc.failovers == events("rpc.failover") &&
+            rc.duplicates_suppressed == events("dup.suppressed") &&
+            rc.breaker_trips == events("breaker.trip") &&
+            rc.timeouts ==
+                events("rpc.timeout") + events("rpc.exhausted", "deposit") &&
+            rc.late_replies_ignored == events("late_reply.ignored"),
+        "resilience counters disagree with their trace events");
   if (!run.violations.empty()) {
     // Offending payments' traces if any were implicated directly; the
     // whole retained window for world-level violations (lost deposit,
@@ -317,8 +345,8 @@ TEST(ChaosFast, LossyWanWithWitnessCrashStillSucceeds) {
   EXPECT_EQ(world.merchant(target).services_delivered(), 1u);
 }
 
-// Witness crashes after committing but before countersigning: the restore
-// must bring the commitment back (synchronous WAL) so the retried
+// Witness crashes after committing but before countersigning: recovery
+// must bring the committed commitment back from the log so the retried
 // transcript completes instead of double-granting or stalling.
 TEST(ChaosFast, WitnessRestartMidSignPreservesCommitment) {
   auto& grp = group::SchnorrGroup::test_256();
@@ -385,15 +413,13 @@ TEST(ChaosFast, DoubleSpendBlockedAcrossWitnessCrash) {
   }
 }
 
-// Durable-store mode: the crash no longer restores a clean snapshot — it
-// cuts the victim's log at a seed-chosen unsynced byte (kill-at-any-byte)
-// and recovery must truncate the torn tail and replay.  The hard guarantee
-// is unchanged: a coin spent before the crash stays unspendable after it.
+// The crash cuts the victim's log at a seed-chosen unsynced byte
+// (kill-at-any-byte) and recovery must truncate the torn tail and replay.
+// The hard guarantee: a coin spent before the crash stays unspendable
+// after it, because the spend is in the log, not just in memory.
 TEST(ChaosFast, DurableWitnessCrashStillBlocksDoubleSpend) {
   auto& grp = group::SchnorrGroup::test_256();
-  auto opt = directed_options(1, 1);
-  opt.durable_stores = true;
-  SimWorld world(grp, opt);
+  SimWorld world(grp, directed_options(1, 1));
   auto& honest = world.add_client();
   auto& thief = world.add_client();
   auto coin = chaos_withdraw(world, honest);
@@ -405,8 +431,9 @@ TEST(ChaosFast, DurableWitnessCrashStillBlocksDoubleSpend) {
   world.sim().run();
   ASSERT_TRUE(first && first->accepted);
   // The committed spend is on the witness's disk, not just in memory.
-  EXPECT_FALSE(
-      world.store_vfs().contents("witness-" + witness_id + ".log").empty());
+  EXPECT_FALSE(world.store_vfs()
+                   .contents(Assembly::witness_log_name(witness_id))
+                   .empty());
 
   world.crash_merchant(witness_id, /*at=*/100, /*restart_at=*/2'000);
   world.sim().run();
@@ -429,9 +456,7 @@ TEST(ChaosFast, DurableWitnessCrashStillBlocksDoubleSpend) {
 // retried transcript still completes exactly once.
 TEST(ChaosFast, DurableWitnessRestartMidSignStillCompletes) {
   auto& grp = group::SchnorrGroup::test_256();
-  auto opt = directed_options(1, 1);
-  opt.durable_stores = true;
-  SimWorld world(grp, opt);
+  SimWorld world(grp, directed_options(1, 1));
   auto& client = world.add_client();
   auto coin = chaos_withdraw(world, client);
   const auto witness_id = coin.coin.witnesses[0].merchant;

@@ -288,23 +288,6 @@ TEST(LogStore, AppendingAfterRecoveryProducesAValidLog) {
   EXPECT_EQ(rec.deltas[1], bytes_of("fresh"));
 }
 
-// ---- SnapshotStore --------------------------------------------------------
-
-TEST(SnapshotStore, ModelsTheLegacySynchronousWal) {
-  SnapshotStore store;
-  EXPECT_TRUE(store.empty());
-  store.checkpoint(bytes_of("snap"));
-  EXPECT_FALSE(store.empty());
-  store.append(bytes_of("d"));
-  EXPECT_EQ(store.delta_count(), 1u);
-  store.commit();  // no-op
-  auto rec = store.recover();
-  EXPECT_EQ(rec.snapshot, bytes_of("snap"));
-  ASSERT_EQ(rec.deltas.size(), 1u);
-  store.checkpoint(bytes_of("snap2"));
-  EXPECT_EQ(store.delta_count(), 0u);  // compaction clears the journal
-}
-
 // ---- PosixVfs + mmap ------------------------------------------------------
 
 TEST(PosixVfs, LogRoundTripsOnARealFilesystem) {
@@ -406,9 +389,9 @@ TEST(TableFile, MmapViewMatchesInMemoryView) {
 // ---- golden equivalence ---------------------------------------------------
 //
 // The journaling seam must be invisible: a deployment whose broker and
-// witnesses run behind a Store produces byte-identical snapshot_state()
+// witnesses run behind LogStores produces byte-identical snapshot_state()
 // bytes to a plain deployment driven by the same seed and script — and a
-// service recovered from the store reproduces those bytes exactly.
+// service recovered from its log reproduces those bytes exactly.
 
 namespace p2pcash::ecash {
 namespace {
@@ -445,29 +428,6 @@ ScriptResult run_script(Deployment& dep) {
   return result;
 }
 
-TEST(StoreGolden, SnapshotStoreBackedRunIsByteIdenticalToPlain) {
-  const auto& grp = group::SchnorrGroup::test_256();
-  Deployment plain(grp, 8, /*seed=*/77);
-  Deployment backed(grp, 8, /*seed=*/77);
-
-  store::SnapshotStore broker_store;
-  backed.broker().attach_store(broker_store);
-  std::vector<std::unique_ptr<store::SnapshotStore>> witness_stores;
-  for (const auto& id : backed.merchant_ids()) {
-    witness_stores.push_back(std::make_unique<store::SnapshotStore>());
-    backed.node(id).witness->attach_store(*witness_stores.back());
-  }
-
-  auto want = run_script(plain);
-  auto got = run_script(backed);
-  EXPECT_EQ(got.broker_snapshot, want.broker_snapshot);
-  ASSERT_EQ(got.witness_snapshots.size(), want.witness_snapshots.size());
-  for (std::size_t i = 0; i < want.witness_snapshots.size(); ++i)
-    EXPECT_EQ(got.witness_snapshots[i], want.witness_snapshots[i]) << i;
-  // The journaling actually ran (the seam was exercised, not bypassed).
-  EXPECT_GT(broker_store.delta_count(), 0u);
-}
-
 TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
   const auto& grp = group::SchnorrGroup::test_256();
   Deployment plain(grp, 8, /*seed=*/77);
@@ -476,10 +436,21 @@ TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
   store::MemVfs vfs;
   store::LogStore broker_store(vfs, "broker.log");
   backed.broker().attach_store(broker_store);
+  const auto ids = backed.merchant_ids();
+  std::vector<std::unique_ptr<store::LogStore>> witness_stores;
+  for (const auto& id : ids) {
+    witness_stores.push_back(
+        std::make_unique<store::LogStore>(vfs, "witness-" + id + ".log"));
+    backed.node(id).witness->attach_store(*witness_stores.back());
+  }
 
+  // Journaling is invisible: every service ends in the unjournaled bytes.
   auto want = run_script(plain);
   auto got = run_script(backed);
   EXPECT_EQ(got.broker_snapshot, want.broker_snapshot);
+  ASSERT_EQ(got.witness_snapshots.size(), want.witness_snapshots.size());
+  for (std::size_t i = 0; i < want.witness_snapshots.size(); ++i)
+    EXPECT_EQ(got.witness_snapshots[i], want.witness_snapshots[i]) << ids[i];
 
   // Recover a fresh broker from the log alone: same bytes again.
   crypto::ChaChaRng rng("recovery");
@@ -487,6 +458,16 @@ TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
   Broker recovered(grp, rng);
   recovered.attach_store(reopened);
   EXPECT_EQ(recovered.snapshot_state(), want.broker_snapshot);
+
+  // Likewise every witness, recovered from its own log.
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    store::LogStore witness_log(vfs, "witness-" + ids[i] + ".log");
+    EXPECT_GT(witness_log.stats().recovered_records, 0u) << ids[i];
+    WitnessService witness(grp, backed.broker().coin_key(), ids[i],
+                           sig::KeyPair::generate(grp, rng), rng);
+    witness.attach_store(witness_log);
+    EXPECT_EQ(witness.snapshot_state(), want.witness_snapshots[i]) << ids[i];
+  }
 
   // Compaction preserves the state and shrinks the log.
   auto before = reopened.size_bytes();

@@ -370,5 +370,34 @@ TEST(TcpTransport, StopIsIdempotentAndSendsAfterStopAreDropped) {
   EXPECT_EQ(b.count(), 0u);
 }
 
+// Regression: stop() while one strand holds far more than one drain batch
+// (kStrandBatch = 64) of posted work.  The strand resubmits itself after
+// each batch; stop() must let it finish on a live pool instead of tearing
+// the pool down underneath it (which used to crash the process).
+TEST(TcpTransport, StopDrainsAStrandLongerThanOneBatch) {
+  TcpNet net(fast_options());
+  Recorder node;
+  NodeId id = net.attach(node);
+  net.start();
+  auto done = std::make_shared<std::atomic<int>>(0);
+  constexpr int kTasks = 1000;
+  for (int i = 0; i < kTasks; ++i) {
+    net.post(id, [done] {
+      std::this_thread::sleep_for(50us);
+      done->fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  net.stop();
+  EXPECT_EQ(done->load(std::memory_order_relaxed), kTasks);
+  // post() after stop queues; the next start() runs it.
+  net.post(id, [done] { done->fetch_add(1, std::memory_order_relaxed); });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(done->load(std::memory_order_relaxed), kTasks);
+  net.start();
+  ASSERT_TRUE(wait_until(
+      [&] { return done->load(std::memory_order_relaxed) == kTasks + 1; }));
+  net.stop();
+}
+
 }  // namespace
 }  // namespace p2pcash::transport
