@@ -5,14 +5,11 @@
 //   (b) witness-load distribution across merchants (uniform hashing), and
 //       its response to the broker's weight lever,
 //   (c) broker state growth per deposited coin,
-//   (d) witness-side signing throughput vs worker threads and NIZK batch
-//       size (striped WitnessService + RLC batch verification), exported
-//       to BENCH_throughput.json,
-//   (e) REAL-transport payment throughput: the full actor stack over
+//   (d) REAL-transport payment throughput: the full actor stack over
 //       loopback TCP sockets (NodeRuntime), payments/sec vs worker
 //       threads x concurrent payment lanes — the number the simulated
 //       pipeline cannot produce, since with W workers W payments are
-//       genuinely in flight on W cores.
+//       genuinely in flight on W cores — exported to BENCH_throughput.json.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -24,7 +21,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "bench_util.h"
 #include "ecash/deployment.h"
 #include "metrics/stats.h"
-#include "verify/worker_pool.h"
 
 using namespace p2pcash;
 using namespace p2pcash::ecash;
@@ -67,72 +62,6 @@ struct ThroughputResult {
   double payments_per_sec = 0;
   int payments_done = 0;
 };
-
-// The witness hot path in isolation: prepare n payments (withdraw, intent,
-// commitments, transcript — untimed), then time only the witness side —
-// per-witness transcript batches signed through a WorkerPool.  A transcript
-// signs exactly once (a retry is answered from the spent record, which
-// would fake a speedup), so every config gets a fresh deployment with the
-// same seed.
-ThroughputResult signing_throughput(const group::SchnorrGroup& grp,
-                                    std::size_t threads,
-                                    std::size_t batch_size, int n_payments) {
-  Deployment dep(grp, 8, /*seed=*/11);
-  auto wallet = dep.make_wallet();
-  auto ids = dep.merchant_ids();
-  std::map<MerchantId, std::vector<PaymentTranscript>> per_witness;
-  std::size_t witness_k = 1;
-  for (int i = 0; i < n_payments; ++i) {
-    auto coin = dep.withdraw(*wallet, 100, 1000).value();
-    witness_k = coin.coin.bare.info.witness_k;
-    auto intent = wallet->prepare_payment(
-        coin, ids[static_cast<std::size_t>(i) % ids.size()]);
-    std::vector<WitnessCommitment> commitments;
-    for (const auto& entry : coin.coin.witnesses) {
-      if (commitments.size() >= witness_k) break;
-      bool already = false;
-      for (const auto& c : commitments)
-        if (c.witness == entry.merchant) already = true;
-      if (already) continue;
-      auto outcome = dep.node(entry.merchant)
-                         .witness->request_commitment(intent.coin_hash,
-                                                      intent.nonce, 2000);
-      if (outcome) commitments.push_back(std::move(outcome).value());
-    }
-    auto transcript = wallet->build_transcript(coin, intent, commitments, 2000);
-    for (const auto& c : commitments)
-      per_witness[c.witness].push_back(transcript.value());
-  }
-
-  verify::WorkerPool pool(threads);
-  std::atomic<int> endorsed{0};
-  auto t0 = std::chrono::steady_clock::now();
-  for (auto& [id, transcripts] : per_witness) {
-    WitnessService* witness = dep.node(id).witness.get();
-    for (std::size_t off = 0; off < transcripts.size(); off += batch_size) {
-      std::span<const PaymentTranscript> chunk(
-          transcripts.data() + off,
-          std::min(batch_size, transcripts.size() - off));
-      pool.submit([witness, chunk, &endorsed] {
-        auto results = witness->sign_transcript_batch(chunk, 2500);
-        for (auto& r : results) {
-          if (r && std::holds_alternative<WitnessEndorsement>(r.value()))
-            endorsed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-  }
-  pool.drain();
-  auto t1 = std::chrono::steady_clock::now();
-
-  ThroughputResult out;
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  // A payment is done once all witness_k of its witnesses countersigned.
-  out.payments_done =
-      endorsed.load() / static_cast<int>(std::max<std::size_t>(1, witness_k));
-  out.payments_per_sec = out.payments_done / out.seconds;
-  return out;
-}
 
 /// One protocol phase's wall-clock latency distribution, read from the
 /// runtime's span_<phase>_ms histograms after the timed section.
@@ -315,61 +244,19 @@ int main(int argc, char** argv) {
     bench::note("history (paper: store 'until the coins become uncashable').");
   }
 
-  // One JSON artifact covers the two threaded sections (St: witness
-  // signing hot path; Sr: end-to-end payments over real TCP).  Every
-  // per-thread-count row records the host's hardware_threads next to the
-  // measurement and flags oversubscription, so a speedup read off a small
-  // CI box is never mistaken for the multicore number.
+  // The JSON artifact covers the threaded section (Sr: end-to-end payments
+  // over real TCP).  Every per-thread-count row records the host's
+  // hardware_threads next to the measurement and flags oversubscription,
+  // so a speedup read off a small CI box is never mistaken for the
+  // multicore number.
   const auto hw_threads =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());
   bench::JsonWriter json;
   json.field("bench", std::string("scalability_throughput"));
-  json.field("schema", 2);
+  json.field("schema", 3);
   json.field("group_bits", 512);
   json.field("hardware_threads", hw_threads);
   json.field("quick", args.quick ? 1 : 0);
-
-  bench::header("St", "witness signing throughput vs worker threads and "
-                      "NIZK batch size (512-bit group)");
-  {
-    const auto& grp = group::SchnorrGroup::test_512();
-    const int n = args.quick ? 24 : 96;
-    struct Config {
-      std::size_t threads;
-      std::size_t batch;
-    };
-    const std::vector<Config> configs = {{1, 1},  {1, 16}, {2, 16},
-                                         {4, 16}, {8, 16}, {8, 64}};
-    std::printf("  %-8s | %-10s | %-9s | %-12s | %s\n", "threads",
-                "batch_size", "seconds", "payments/s", "speedup");
-    std::printf("  ---------|------------|-----------|--------------|--------\n");
-    json.field("payments_per_config", n);
-    json.begin_object("configs");
-    double baseline = 0;
-    for (const Config& c : configs) {
-      auto r = signing_throughput(grp, c.threads, c.batch, n);
-      if (baseline == 0) baseline = r.payments_per_sec;
-      const double speedup = r.payments_per_sec / baseline;
-      std::printf("  %7zu  | %9zu  | %8.3f  | %11.1f  | %5.2fx\n", c.threads,
-                  c.batch, r.seconds, r.payments_per_sec, speedup);
-      json.begin_object("t" + std::to_string(c.threads) + "_b" +
-                        std::to_string(c.batch));
-      json.field("threads", static_cast<std::uint64_t>(c.threads));
-      json.field("batch_size", static_cast<std::uint64_t>(c.batch));
-      json.field("seconds", r.seconds);
-      json.field("payments_done", r.payments_done);
-      json.field("payments_per_sec", r.payments_per_sec);
-      json.field("speedup_vs_t1_b1", speedup);
-      json.field("hardware_threads", hw_threads);
-      json.field("oversubscribed", c.threads > hw_threads ? 1 : 0);
-      json.end_object();
-    }
-    json.end_object();
-    bench::note("batch>=16 amortizes the NIZK check into one RLC multi-exp");
-    bench::note("(2n+2 Exp instead of 3n); batch 64 crosses into Pippenger");
-    bench::note("buckets.  Thread scaling is bounded by the host's cores —");
-    bench::note("see hardware_threads in the JSON before reading speedups.");
-  }
 
   bench::header("Sr", "REAL-transport payment throughput: full actor stack "
                       "over loopback TCP vs worker threads x payment lanes "

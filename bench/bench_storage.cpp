@@ -1,8 +1,8 @@
 // S — durable coin-state store: append/commit throughput on the in-memory
 // and POSIX backends, group-commit fsync batching under concurrent
-// committers, crash-recovery scan rate, and the mmap table-file lookup
-// against the decoded WitnessTable (schema in EXPERIMENTS.md; baseline
-// BENCH_storage.json, override with --json=PATH, --quick for CI smoke).
+// committers, and crash-recovery scan rate (schema in EXPERIMENTS.md;
+// baseline BENCH_storage.json, override with --json=PATH, --quick for CI
+// smoke).
 
 #include <chrono>
 #include <cstdio>
@@ -10,11 +10,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "crypto/chacha.h"
-#include "ecash/deployment.h"
-#include "ecash/witness_table.h"
 #include "store/log_store.h"
-#include "store/table_file.h"
 #include "store/vfs.h"
 
 using namespace p2pcash;
@@ -89,10 +85,12 @@ int main(int argc, char** argv) {
   const int n = args.quick ? 2'000 : 50'000;
   const std::size_t delta_bytes = 128;
 
-  bench::header("S", "durable coin-state store: log, recovery, table file");
+  bench::header("S", "durable coin-state store: log, group commit, recovery");
   bench::JsonWriter json;
   json.field("bench", std::string("storage"))
-      .field("schema_version", 1)
+      .field("schema_version", 2)
+      .field("hardware_threads",
+             std::uint64_t{std::thread::hardware_concurrency()})
       .field("quick", args.quick ? 1 : 0)
       .field("delta_bytes", std::uint64_t{delta_bytes})
       .field("records", std::uint64_t(n));
@@ -192,55 +190,6 @@ int main(int argc, char** argv) {
         .field("seconds", secs)
         .field("records_per_s", rec_per_s)
         .field("mb_per_s", mb_per_s)
-        .end_object();
-  }
-
-  // -- 4. Table-file lookup vs decoded WitnessTable --------------------------
-  // The reader path PR 9 adds: one O(log n) predecessor search on the mmap
-  // image, decoding a single entry, against the fully-decoded std::vector
-  // table both share semantics with (golden test in store_test.cpp).
-  {
-    const auto& grp = group::SchnorrGroup::test_256();
-    ecash::Deployment dep(grp, 8, /*seed=*/77);
-    const auto bytes = dep.broker().export_table_file(1);
-    TableFileView view(bytes);
-    const auto& table = dep.broker().current_table();
-
-    const int lookups = args.quick ? 2'000 : 50'000;
-    crypto::ChaChaRng rng("bench-storage-points");
-    std::vector<bn::BigInt> points;
-    points.reserve(static_cast<std::size_t>(lookups));
-    for (int i = 0; i < lookups; ++i) {
-      std::vector<std::uint8_t> raw(ecash::kRangeBits / 8);
-      rng.fill(raw);
-      points.push_back(bn::BigInt::from_bytes_be(raw));
-    }
-
-    auto t0 = std::chrono::steady_clock::now();
-    std::size_t hits_file = 0;
-    for (const auto& p : points)
-      hits_file += ecash::WitnessTable::lookup_table_file(view, p).has_value();
-    const double file_ns = seconds_since(t0) * 1e9 / lookups;
-
-    t0 = std::chrono::steady_clock::now();
-    std::size_t hits_table = 0;
-    for (const auto& p : points) hits_table += table.lookup(p).has_value();
-    const double table_ns = seconds_since(t0) * 1e9 / lookups;
-
-    if (hits_file != hits_table) {
-      std::fprintf(stderr, "bench: lookup disagreement (%zu vs %zu)\n",
-                   hits_file, hits_table);
-      return 1;
-    }
-    std::printf("  table lookup: %zu entries, %d points -> "
-                "%7.0f ns (file) vs %7.0f ns (decoded)\n",
-                static_cast<std::size_t>(view.entry_count()), lookups,
-                file_ns, table_ns);
-    json.begin_object("table_lookup")
-        .field("entries", std::uint64_t(view.entry_count()))
-        .field("points", std::uint64_t(lookups))
-        .field("ns_per_lookup_file", file_ns)
-        .field("ns_per_lookup_decoded", table_ns)
         .end_object();
   }
 

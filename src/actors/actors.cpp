@@ -10,6 +10,7 @@ namespace p2pcash::actors {
 using bn::BigInt;
 using ecash::Hash256;
 using ecash::Outcome;
+using ecash::read_hash256;
 using ecash::Refusal;
 using ecash::RefusalReason;
 using metrics::OpCounters;
@@ -17,20 +18,6 @@ using Counters = metrics::ResilienceCounters;
 using metrics::ScopedOpCounting;
 using wire::Reader;
 using wire::Writer;
-
-namespace {
-
-void put_hash(Writer& w, const Hash256& h) { w.put_bytes(h); }
-
-Hash256 get_hash(Reader& r) {
-  auto bytes = r.get_bytes();
-  if (bytes.size() != 32) throw wire::DecodeError("expected 32-byte hash");
-  Hash256 h;
-  std::copy(bytes.begin(), bytes.end(), h.begin());
-  return h;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ProtocolActor
@@ -145,7 +132,7 @@ void BrokerActor::on_message(const Message& msg) {
       auto receipt =
           broker_.deposit(st.transcript.merchant, st, now());
       Writer w;
-      put_hash(w, st.transcript.coin.bare.coin_hash());
+      w.put_bytes(st.transcript.coin.bare.coin_hash());
       if (receipt) {
         reply.type = "deposit.receipt";
         w.put_u32(receipt.value().credited);
@@ -185,8 +172,8 @@ void MerchantActor::on_message(const Message& msg) {
 
 void MerchantActor::handle_commit_request(const Message& msg) {
   Reader r(msg.payload);
-  const Hash256 coin_hash = get_hash(r);
-  const Hash256 nonce = get_hash(r);
+  const Hash256 coin_hash = read_hash256(r);
+  const Hash256 nonce = read_hash256(r);
   const auto span = start_span(msg.trace, "witness_commit");
   OpCounters ops;
   Message reply{id(), msg.from, "", {}, msg.trace};
@@ -199,7 +186,7 @@ void MerchantActor::handle_commit_request(const Message& msg) {
       commitment.value().encode(w);
     } else {
       reply.type = "pay.commit_refused";
-      put_hash(w, coin_hash);
+      w.put_bytes(coin_hash);
       w.put_string(commitment.refusal().detail);
     }
     reply.payload = w.take();
@@ -228,7 +215,7 @@ void MerchantActor::handle_transcript(const Message& msg) {
     note(&Counters::duplicates_suppressed, msg.trace, "dup.suppressed",
          "transcript for serviced coin");
     Writer w;
-    put_hash(w, coin_hash);
+    w.put_bytes(coin_hash);
     send_now(Message{id(), msg.from, "pay.service", w.take(), msg.trace});
     return;
   }
@@ -266,7 +253,7 @@ void MerchantActor::handle_transcript(const Message& msg) {
   }
   if (refusal) {
     Writer w;
-    put_hash(w, coin_hash);
+    w.put_bytes(coin_hash);
     w.put_string(refusal->detail);
     send_after_cost(
         ops, Message{id(), msg.from, "pay.refused", w.take(), msg.trace},
@@ -313,12 +300,12 @@ void MerchantActor::handle_sign_request(const Message& msg) {
     Writer w;
     if (!result) {
       reply.type = "pay.sign_refused";
-      put_hash(w, coin_hash);
+      w.put_bytes(coin_hash);
       w.put_string(result.refusal().detail);
     } else if (auto* endorsement =
                    std::get_if<ecash::WitnessEndorsement>(&result.value())) {
       reply.type = "pay.endorse";
-      put_hash(w, coin_hash);
+      w.put_bytes(coin_hash);
       endorsement->encode(w);
     } else {
       reply.type = "pay.double_spend";
@@ -353,7 +340,7 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
         // Witness answered with a bogus proof: from the client's view the
         // payment failed; the merchant can escalate to the arbiter.
         reply.type = "pay.refused";
-        put_hash(w, proof.coin_hash);
+        w.put_bytes(proof.coin_hash);
         w.put_string(verified.refusal().detail);
       }
       reply.payload = w.take();
@@ -363,7 +350,7 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
     return;
   }
 
-  const Hash256 coin_hash = get_hash(r);
+  const Hash256 coin_hash = read_hash256(r);
   auto client = in_flight_.find(coin_hash);
   if (client == in_flight_.end()) {
     note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",
@@ -375,7 +362,7 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
     const std::string detail = r.get_string();
     merchant_.abandon(coin_hash);
     Writer w;
-    put_hash(w, coin_hash);
+    w.put_bytes(coin_hash);
     w.put_string("witness refused: " + detail);
     send_now(Message{id(), client->second.client, "pay.refused", w.take(),
                      client->second.trace});
@@ -401,12 +388,12 @@ void MerchantActor::handle_sign_reply(const Message& msg) {
              "duplicate endorsement");
         return;
       }
-      put_hash(w, coin_hash);
+      w.put_bytes(coin_hash);
       w.put_string(done.refusal().detail);
       reply = Message{id(), client->second.client, "pay.refused", w.take(),
                       payment_trace};
     } else if (done.value()) {
-      put_hash(w, coin_hash);
+      w.put_bytes(coin_hash);
       reply = Message{id(), client->second.client, "pay.service", w.take(),
                       payment_trace};
       serviced = true;
@@ -501,7 +488,7 @@ void MerchantActor::arm_deposit_timer(const Hash256& coin_hash,
 
 void MerchantActor::handle_deposit_receipt(const Message& msg) {
   Reader r(msg.payload);
-  const Hash256 coin_hash = get_hash(r);
+  const Hash256 coin_hash = read_hash256(r);
   auto it = pending_deposits_.find(coin_hash);
   if (it == pending_deposits_.end()) return;  // manual submission or dup ack
   std::string status = "ok";
@@ -809,8 +796,8 @@ void ClientActor::pay(const ecash::WalletCoin& coin,
     }
   }
   Writer w;
-  put_hash(w, p.intent.coin_hash);
-  put_hash(w, p.intent.nonce);
+  w.put_bytes(p.intent.coin_hash);
+  w.put_bytes(p.intent.nonce);
   p.commit_payload = w.take();
 
   const Hash256 coin_hash = p.intent.coin_hash;
@@ -1108,7 +1095,7 @@ void ClientActor::handle_pay_reply(const Message& msg) {
     finish_payment(it->second, std::move(result));
     return;
   }
-  const Hash256 coin_hash = get_hash(r);
+  const Hash256 coin_hash = read_hash256(r);
   auto it = payments_.find(coin_hash);
   if (it == payments_.end()) {
     note(&Counters::late_replies_ignored, msg.trace, "late_reply.ignored",

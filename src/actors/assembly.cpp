@@ -1,17 +1,8 @@
 #include "actors/assembly.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace p2pcash::actors {
-
-namespace {
-MerchantId merchant_name(std::size_t i) {
-  char buf[32];  // large enough for "m" + any 64-bit index
-  std::snprintf(buf, sizeof buf, "m%03zu", i);
-  return buf;
-}
-}  // namespace
 
 std::string Assembly::witness_log_name(const MerchantId& id) {
   return "witness-" + id + ".log";
@@ -38,7 +29,7 @@ Assembly::Assembly(const group::SchnorrGroup& grp, const Spec& spec,
   merchants_.reserve(spec_.merchants);
   for (std::size_t i = 0; i < spec_.merchants; ++i) {
     MerchantSlot slot;
-    slot.id = merchant_name(i);
+    slot.id = ecash::merchant_name(i);
     auto key = sig::KeyPair::generate(grp_, setup_rng);
     broker_->register_merchant(slot.id, key.public_key(),
                                spec_.security_deposit);

@@ -607,17 +607,6 @@ std::vector<std::uint8_t> Broker::snapshot_locked() const {
   return w.take();
 }
 
-namespace {
-Hash256 snapshot_hash(wire::Reader& r) {
-  auto bytes = r.get_bytes();
-  if (bytes.size() != 32)
-    throw wire::DecodeError("broker snapshot: bad hash width");
-  Hash256 h;
-  std::copy(bytes.begin(), bytes.end(), h.begin());
-  return h;
-}
-}  // namespace
-
 void Broker::restore_state(std::span<const std::uint8_t> snapshot) {
   sync::MutexLock lock(mu_);
   restore_locked(snapshot);
@@ -651,7 +640,7 @@ void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
     tables.push_back(WitnessTable::decode(r));
   std::map<Hash256, DepositRecord> deposits;
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = snapshot_hash(r);
+    Hash256 hash = read_hash256(r);
     DepositRecord record;
     record.st = SignedTranscript::decode(r);
     record.depositor = r.get_string();
@@ -659,7 +648,7 @@ void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
   }
   std::map<Hash256, RenewalRecord> renewals;
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = snapshot_hash(r);
+    Hash256 hash = read_hash256(r);
     RenewalRecord record;
     record.coin = Coin::decode(r);
     record.proof.r1 = r.get_bigint();
@@ -670,7 +659,7 @@ void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
   std::vector<WitnessFaultProof> faults;
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
     WitnessFaultProof fault;
-    fault.coin_hash = snapshot_hash(r);
+    fault.coin_hash = read_hash256(r);
     fault.first = SignedTranscript::decode(r);
     fault.second = SignedTranscript::decode(r);
     fault.witness = r.get_string();
@@ -797,7 +786,7 @@ void Broker::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaDeposit: {
-        Hash256 hash = snapshot_hash(r);
+        Hash256 hash = read_hash256(r);
         DepositRecord record;
         record.st = SignedTranscript::decode(r);
         record.depositor = r.get_string();
@@ -805,7 +794,7 @@ void Broker::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaRenewal: {
-        Hash256 hash = snapshot_hash(r);
+        Hash256 hash = read_hash256(r);
         RenewalRecord record;
         record.coin = Coin::decode(r);
         record.proof.r1 = r.get_bigint();
@@ -816,7 +805,7 @@ void Broker::apply_delta(std::span<const std::uint8_t> delta) {
       }
       case kDeltaWitnessFault: {
         WitnessFaultProof fault;
-        fault.coin_hash = snapshot_hash(r);
+        fault.coin_hash = read_hash256(r);
         fault.first = SignedTranscript::decode(r);
         fault.second = SignedTranscript::decode(r);
         fault.witness = r.get_string();
@@ -857,15 +846,6 @@ void Broker::attach_store(store::Store& store) {
 void Broker::checkpoint_store() {
   sync::MutexLock lock(mu_);
   if (store_ != nullptr) store_->checkpoint(snapshot_locked());
-}
-
-std::vector<std::uint8_t> Broker::export_table_file(
-    std::uint32_t version) const {
-  sync::MutexLock lock(mu_);
-  const WitnessTable* tbl = table_unlocked(version);
-  if (tbl == nullptr)
-    throw std::invalid_argument("Broker::export_table_file: unknown version");
-  return tbl->to_table_file();
 }
 
 }  // namespace p2pcash::ecash

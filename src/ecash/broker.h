@@ -275,11 +275,6 @@ class Broker {
   void checkpoint_store();
   bool has_store() const { return store_ != nullptr; }
 
-  /// Serializes a published table into the immutable mmap-friendly
-  /// store::table_file format (see WitnessTable::to_table_file).  Throws
-  /// std::invalid_argument for an unpublished version.
-  std::vector<std::uint8_t> export_table_file(std::uint32_t version) const;
-
  private:
   struct DepositRecord {
     SignedTranscript st;

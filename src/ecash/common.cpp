@@ -1,6 +1,14 @@
 #include "ecash/common.h"
 
+#include <cstdio>
+
 namespace p2pcash::ecash {
+
+MerchantId merchant_name(std::size_t i) {
+  char buf[32];  // large enough for "m" + any 64-bit index
+  std::snprintf(buf, sizeof buf, "m%03zu", i);
+  return buf;
+}
 
 const char* to_string(RefusalReason reason) {
   switch (reason) {

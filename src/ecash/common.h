@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -15,6 +16,9 @@ using Timestamp = std::int64_t;
 
 /// Merchant identifier I_M (a stable, broker-registered name).
 using MerchantId = std::string;
+
+/// The registered name of a deployment's i-th merchant: "m000", "m001", …
+MerchantId merchant_name(std::size_t i);
 
 /// Reserved counterparty id for paying a coin *to the broker* (the
 /// denomination-exchange extension): the coin's witness countersigns the

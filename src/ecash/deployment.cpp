@@ -1,17 +1,8 @@
 #include "ecash/deployment.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace p2pcash::ecash {
-
-namespace {
-MerchantId merchant_name(std::size_t i) {
-  char buf[32];  // large enough for "m" + any 64-bit index
-  std::snprintf(buf, sizeof buf, "m%03zu", i);
-  return buf;
-}
-}  // namespace
 
 Deployment::Deployment(const group::SchnorrGroup& grp, std::size_t n_merchants,
                        std::uint64_t seed, Broker::Config config,

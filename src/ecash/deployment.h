@@ -26,10 +26,10 @@ namespace p2pcash::ecash {
 /// mirroring the paper's separate processes).
 struct MerchantNode {
   std::unique_ptr<Merchant> merchant;
-  /// Private RNG stream for the witness service.  Witness services at
-  /// different nodes countersign concurrently under the verification worker
-  /// pool; each service serializes its own draws with its rng_mu_, but that
-  /// only protects a stream no other component touches.
+  /// Private RNG stream for the witness service.  Tests drive the witnesses
+  /// of different nodes from several threads at once; each service
+  /// serializes its own draws with its rng_mu_, but that only protects a
+  /// stream no other component touches.
   std::unique_ptr<crypto::ChaChaRng> witness_rng;
   std::unique_ptr<WitnessService> witness;
 };

@@ -147,21 +147,19 @@ void WitnessCommitment::encode(wire::Writer& w) const {
   w.put_bigint(witness_sig.s);
 }
 
-namespace {
-Hash256 read_hash(wire::Reader& r) {
+Hash256 read_hash256(wire::Reader& r) {
   auto bytes = r.get_bytes();
   if (bytes.size() != 32) throw wire::DecodeError("expected 32-byte hash");
   Hash256 h;
   std::copy(bytes.begin(), bytes.end(), h.begin());
   return h;
 }
-}  // namespace
 
 WitnessCommitment WitnessCommitment::decode(wire::Reader& r) {
   WitnessCommitment c;
-  c.coin_hash = read_hash(r);
-  c.nonce = read_hash(r);
-  c.value_hash = read_hash(r);
+  c.coin_hash = read_hash256(r);
+  c.nonce = read_hash256(r);
+  c.value_hash = read_hash256(r);
   c.expires = r.get_i64();
   c.witness = r.get_string();
   c.witness_sig.e = r.get_bigint();
@@ -211,7 +209,7 @@ void DoubleSpendProof::encode(wire::Writer& w) const {
 
 DoubleSpendProof DoubleSpendProof::decode(wire::Reader& r) {
   DoubleSpendProof p;
-  p.coin_hash = read_hash(r);
+  p.coin_hash = read_hash256(r);
   p.a = r.get_bigint();
   p.b = r.get_bigint();
   p.secrets.of_a.e1 = r.get_bigint();

@@ -25,6 +25,10 @@ namespace p2pcash::ecash {
 
 using Hash256 = std::array<std::uint8_t, 32>;
 
+/// Reads a Hash256 written as wire bytes (`Writer::put_bytes`).  Throws
+/// wire::DecodeError unless exactly 32 bytes are present.
+Hash256 read_hash256(wire::Reader& r);
+
 /// d = H0(C, I_M, date/time) — the payment challenge. Counts one Hash.
 bn::BigInt payment_challenge(const group::SchnorrGroup& grp, const Coin& coin,
                              const MerchantId& merchant, Timestamp datetime);

@@ -4,8 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "nizk/batch_verify.h"
-
 namespace p2pcash::ecash {
 
 namespace {
@@ -88,25 +86,6 @@ std::optional<std::size_t> WitnessService::own_entry_index(
   return std::nullopt;
 }
 
-std::optional<Outcome<SignResult>> WitnessService::sign_fast_path(
-    const Hash256& coin_hash, const PaymentTranscript& transcript,
-    bool faulty) const {
-  const Stripe& s = stripe_for(coin_hash);
-  sync::MutexLock lock(s.mu);
-  // Coin already known double-spent — return the stored proof ("the
-  // witness will either be spared all significant crypto operations").
-  if (auto ds = s.double_spent.find(coin_hash); ds != s.double_spent.end()) {
-    if (!faulty) return Outcome<SignResult>{SignResult{ds->second.proof}};
-  }
-  // Idempotent retry of the very same transcript: re-issue the endorsement
-  // rather than treating the retransmission as a second spend.
-  if (auto sp = s.spent.find(coin_hash);
-      sp != s.spent.end() && sp->second.transcript == transcript) {
-    return Outcome<SignResult>{SignResult{sp->second.endorsement}};
-  }
-  return std::nullopt;
-}
-
 Outcome<SignResult> WitnessService::sign_transcript(
     const PaymentTranscript& transcript, Timestamp now) {
   store::StoreCommit store_commit(store_);
@@ -114,79 +93,32 @@ Outcome<SignResult> WitnessService::sign_transcript(
   const Hash256 coin_hash = coin.bare.coin_hash();
   const bool faulty = is_faulty();
 
-  if (auto fast = sign_fast_path(coin_hash, transcript, faulty)) return *fast;
+  // Fast path without crypto, peeked under the stripe.
+  {
+    const Stripe& s = stripe_for(coin_hash);
+    sync::MutexLock lock(s.mu);
+    // Coin already known double-spent — return the stored proof ("the
+    // witness will either be spared all significant crypto operations").
+    if (auto ds = s.double_spent.find(coin_hash);
+        ds != s.double_spent.end() && !faulty) {
+      return SignResult{ds->second.proof};
+    }
+    // Idempotent retry of the very same transcript: re-issue the
+    // endorsement rather than treating the retransmission as a second spend.
+    if (auto sp = s.spent.find(coin_hash);
+        sp != s.spent.end() && sp->second.transcript == transcript) {
+      return SignResult{sp->second.endorsement};
+    }
+  }
 
   // Full verification of the presented coin (ours? valid? unexpired?) and
   // its payment NIZK (1 Hash for d + 3 Exp).  Both run on immutable inputs
-  // with no lock held; the spend state is re-checked in finish_sign.
+  // with no lock held; the spend state is re-checked under the stripe.
   auto index = check_presented_coin(coin, coin_hash, now);
   if (!index) return index.refusal();
   if (!verify_transcript_proof(grp_, transcript))
     return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
 
-  return finish_sign(transcript, coin_hash, now, faulty);
-}
-
-std::vector<Outcome<SignResult>> WitnessService::sign_transcript_batch(
-    std::span<const PaymentTranscript> transcripts, Timestamp now) {
-  store::StoreCommit store_commit(store_);
-  const bool faulty = is_faulty();
-  std::vector<std::optional<Outcome<SignResult>>> results(transcripts.size());
-  std::vector<Hash256> hashes(transcripts.size());
-  // Per-coin checks and fast-path answers first; every survivor contributes
-  // its payment NIZK to one RLC-combined verification.
-  std::vector<std::size_t> pending;
-  std::vector<nizk::BatchItem> items;
-  for (std::size_t i = 0; i < transcripts.size(); ++i) {
-    const PaymentTranscript& t = transcripts[i];
-    hashes[i] = t.coin.bare.coin_hash();
-    if (auto fast = sign_fast_path(hashes[i], t, faulty)) {
-      results[i] = std::move(*fast);
-      continue;
-    }
-    auto index = check_presented_coin(t.coin, hashes[i], now);
-    if (!index) {
-      results[i] = index.refusal();
-      continue;
-    }
-    // Mirror verify_transcript_proof exactly: same commitments, same
-    // challenge, same response — the batch must accept iff it would.
-    auto cc = current_commitments(t.coin);
-    items.push_back(nizk::BatchItem{
-        nizk::Commitments{cc.a, cc.b},
-        payment_challenge(grp_, t.coin, t.merchant, t.datetime), t.resp});
-    pending.push_back(i);
-  }
-  if (!items.empty()) {
-    nizk::BatchResult verdict;
-    {
-      sync::MutexLock rng_lock(rng_mu_);
-      verdict = nizk::batch_verify_responses(grp_, items, rng_);
-    }
-    std::size_t bad_pos = 0;
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      const std::size_t i = pending[j];
-      if (bad_pos < verdict.bad_indices.size() &&
-          verdict.bad_indices[bad_pos] == j) {
-        ++bad_pos;
-        results[i] = Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
-        continue;
-      }
-      // Index order here is what makes two same-coin transcripts in one
-      // batch resolve exactly as sequential sign_transcript calls would.
-      results[i] = finish_sign(transcripts[i], hashes[i], now, faulty);
-    }
-  }
-  std::vector<Outcome<SignResult>> out;
-  out.reserve(results.size());
-  for (auto& r : results) out.push_back(std::move(*r));
-  return out;
-}
-
-Outcome<SignResult> WitnessService::finish_sign(
-    const PaymentTranscript& transcript, const Hash256& coin_hash,
-    Timestamp now, bool faulty) {
-  (void)now;  // binding freshness is judged against the stored expiry
   std::optional<DoubleSpendProof> stale_evidence;
   bool signed_new = false;
   // The state machine runs under the coin's stripe; the two mu_-guarded
@@ -194,7 +126,6 @@ Outcome<SignResult> WitnessService::finish_sign(
   // until the stripe is released — mu_ sits above kShard and must never be
   // acquired while a stripe is held.
   Outcome<SignResult> result = [&]() -> Outcome<SignResult> {
-    const Coin& coin = transcript.coin;
     Stripe& s = stripe_for(coin_hash);
     sync::MutexLock lock(s.mu);
 
@@ -531,18 +462,6 @@ bool WitnessService::has_double_spend_record(const Hash256& coin_hash) const {
   return s.double_spent.contains(coin_hash);
 }
 
-namespace {
-void put_hash256(wire::Writer& w, const Hash256& h) { w.put_bytes(h); }
-Hash256 get_hash256(wire::Reader& r) {
-  auto bytes = r.get_bytes();
-  if (bytes.size() != 32)
-    throw wire::DecodeError("witness snapshot: bad hash width");
-  Hash256 h;
-  std::copy(bytes.begin(), bytes.end(), h.begin());
-  return h;
-}
-}  // namespace
-
 std::vector<std::uint8_t> WitnessService::snapshot_state() const {
   // Stripes are keyed by the hash's most-significant prefix, so merging
   // them in stripe order reproduces the global Hash256 order — and thus
@@ -571,25 +490,25 @@ std::vector<std::uint8_t> WitnessService::snapshot_state() const {
   w.put_u64(coins_signed);
   w.put_u32(static_cast<std::uint32_t>(commitments.size()));
   for (const auto& [hash, record] : commitments) {
-    put_hash256(w, hash);
+    w.put_bytes(hash);
     record.commitment.encode(w);
     record.value.encode(w);
     w.put_u8(record.consumed ? 1 : 0);
   }
   w.put_u32(static_cast<std::uint32_t>(spent.size()));
   for (const auto& [hash, record] : spent) {
-    put_hash256(w, hash);
+    w.put_bytes(hash);
     record.transcript.encode(w);
     record.endorsement.encode(w);
   }
   w.put_u32(static_cast<std::uint32_t>(double_spent.size()));
   for (const auto& [hash, record] : double_spent) {
-    put_hash256(w, hash);
+    w.put_bytes(hash);
     record.proof.encode(w);
   }
   w.put_u32(static_cast<std::uint32_t>(chains.size()));
   for (const auto& [hash, chain] : chains) {
-    put_hash256(w, hash);
+    w.put_bytes(hash);
     w.put_u32(static_cast<std::uint32_t>(chain.size()));
     for (const auto& link : chain) link.encode(w);
   }
@@ -612,7 +531,7 @@ void WitnessService::restore_state(std::span<const std::uint8_t> snapshot) {
   std::array<Staging, kStripeCount> staging;
   const std::uint64_t coins_signed = r.get_u64();
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
+    Hash256 hash = read_hash256(r);
     CommitmentRecord record;
     record.commitment = WitnessCommitment::decode(r);
     record.value = CommittedValue::decode(r);
@@ -620,19 +539,19 @@ void WitnessService::restore_state(std::span<const std::uint8_t> snapshot) {
     staging[stripe_index(hash)].commitments.emplace(hash, std::move(record));
   }
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
+    Hash256 hash = read_hash256(r);
     SpentRecord record;
     record.transcript = PaymentTranscript::decode(r);
     record.endorsement = WitnessEndorsement::decode(r);
     staging[stripe_index(hash)].spent.emplace(hash, std::move(record));
   }
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
+    Hash256 hash = read_hash256(r);
     staging[stripe_index(hash)].double_spent.emplace(
         hash, DoubleSpentRecord{DoubleSpendProof::decode(r)});
   }
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
+    Hash256 hash = read_hash256(r);
     std::vector<TransferLink> chain;
     for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
       chain.push_back(TransferLink::decode(r));
@@ -665,7 +584,7 @@ void WitnessService::journal(const wire::Writer& w) {
 void WitnessService::delta_commitment(wire::Writer& w, const Hash256& hash,
                                       const CommitmentRecord& record) {
   w.put_u8(kDeltaCommitment);
-  put_hash256(w, hash);
+  w.put_bytes(hash);
   record.commitment.encode(w);
   record.value.encode(w);
   w.put_u8(record.consumed ? 1 : 0);
@@ -674,7 +593,7 @@ void WitnessService::delta_commitment(wire::Writer& w, const Hash256& hash,
 void WitnessService::delta_spent(wire::Writer& w, const Hash256& hash,
                                  const SpentRecord& record) {
   w.put_u8(kDeltaSpent);
-  put_hash256(w, hash);
+  w.put_bytes(hash);
   record.transcript.encode(w);
   record.endorsement.encode(w);
 }
@@ -682,21 +601,21 @@ void WitnessService::delta_spent(wire::Writer& w, const Hash256& hash,
 void WitnessService::delta_double_spent(wire::Writer& w, const Hash256& hash,
                                         const DoubleSpentRecord& record) {
   w.put_u8(kDeltaDoubleSpent);
-  put_hash256(w, hash);
+  w.put_bytes(hash);
   record.proof.encode(w);
 }
 
 void WitnessService::delta_chain(wire::Writer& w, const Hash256& hash,
                                  const std::vector<TransferLink>& chain) {
   w.put_u8(kDeltaChain);
-  put_hash256(w, hash);
+  w.put_bytes(hash);
   w.put_u32(static_cast<std::uint32_t>(chain.size()));
   for (const auto& link : chain) link.encode(w);
 }
 
 void WitnessService::delta_spent_erase(wire::Writer& w, const Hash256& hash) {
   w.put_u8(kDeltaSpentErase);
-  put_hash256(w, hash);
+  w.put_bytes(hash);
 }
 
 void WitnessService::delta_counters(wire::Writer& w,
@@ -710,7 +629,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
   while (!r.at_end()) {
     switch (r.get_u8()) {
       case kDeltaCommitment: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash256(r);
         CommitmentRecord record;
         record.commitment = WitnessCommitment::decode(r);
         record.value = CommittedValue::decode(r);
@@ -721,7 +640,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaSpent: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash256(r);
         SpentRecord record;
         record.transcript = PaymentTranscript::decode(r);
         record.endorsement = WitnessEndorsement::decode(r);
@@ -731,7 +650,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaDoubleSpent: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash256(r);
         DoubleSpentRecord record{DoubleSpendProof::decode(r)};
         Stripe& s = stripe_for(hash);
         sync::MutexLock lock(s.mu);
@@ -739,7 +658,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaChain: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash256(r);
         std::vector<TransferLink> chain;
         for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
           chain.push_back(TransferLink::decode(r));
@@ -749,7 +668,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
         break;
       }
       case kDeltaSpentErase: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash256(r);
         Stripe& s = stripe_for(hash);
         sync::MutexLock lock(s.mu);
         s.spent.erase(hash);

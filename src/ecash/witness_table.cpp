@@ -128,38 +128,6 @@ void WitnessTable::encode(wire::Writer& w) const {
   for (const auto& e : entries_) e.encode(w);
 }
 
-std::vector<std::uint8_t> WitnessTable::to_table_file() const {
-  static_assert(store::kTableKeyBytes == kRangeBits / 8,
-                "table-file keys must hold a full range point");
-  store::TableFileBuilder builder(version_,
-                                  static_cast<std::uint64_t>(published_at_));
-  for (const auto& e : entries_) {
-    store::TableKey key{};
-    auto lo = e.lo.to_bytes_be_padded(store::kTableKeyBytes);
-    std::copy(lo.begin(), lo.end(), key.begin());
-    builder.add(key, wire::encode(e));
-  }
-  return builder.build();
-}
-
-std::optional<SignedWitnessEntry> WitnessTable::lookup_table_file(
-    const store::TableFileView& view, const BigInt& point) {
-  // Points at or beyond 2^kRangeBits don't fit a key; no range holds them.
-  if (point.bit_length() > kRangeBits || point < BigInt{0})
-    return std::nullopt;
-  store::TableKey key{};
-  auto bytes = point.to_bytes_be_padded(store::kTableKeyBytes);
-  std::copy(bytes.begin(), bytes.end(), key.begin());
-  auto idx = view.predecessor(key);
-  if (!idx) return std::nullopt;
-  auto payload = view.payload(*idx);
-  wire::Reader r(payload);
-  SignedWitnessEntry entry = SignedWitnessEntry::decode(r);
-  r.expect_end();
-  if (!entry.contains(point)) return std::nullopt;
-  return entry;
-}
-
 WitnessTable WitnessTable::decode(wire::Reader& r) {
   WitnessTable t;
   t.version_ = r.get_u32();

@@ -21,7 +21,6 @@
 #include "bn/bigint.h"
 #include "ecash/common.h"
 #include "sig/schnorr_sig.h"
-#include "store/table_file.h"
 #include "wire/codec.h"
 
 namespace p2pcash::ecash {
@@ -86,24 +85,6 @@ class WitnessTable {
 
   void encode(wire::Writer& w) const;
   static WitnessTable decode(wire::Reader& r);
-
-  // ---- immutable table-file format (store/table_file.h) ----
-  //
-  // A published table never changes, so the broker can export it as an
-  // mmap-friendly sorted-index file: key = lo as 20 big-endian bytes
-  // (kRangeBits/8 — memcmp order equals numeric order), payload = the
-  // wire-encoded SignedWitnessEntry.  Readers map the file and resolve a
-  // coin's witness with one O(log n) predecessor search, no parsing of
-  // the other entries.
-
-  /// Serializes this table into the table-file byte format.
-  std::vector<std::uint8_t> to_table_file() const;
-
-  /// Resolves `point` against a mapped table file: predecessor search on
-  /// the range starts, then decode + containment check on the single hit.
-  /// Semantically identical to lookup() on the decoded table.
-  static std::optional<SignedWitnessEntry> lookup_table_file(
-      const store::TableFileView& view, const bn::BigInt& point);
 
  private:
   std::uint32_t version_ = 0;

@@ -17,7 +17,9 @@ namespace {
 template <std::size_t N>
 void copy_field(char (&dst)[N], std::string_view src) {
   const std::size_t n = src.size() < N - 1 ? src.size() : N - 1;
-  std::memcpy(dst, src.data(), n);
+  // An empty string_view may carry a null data(); memcpy's arguments must
+  // be valid pointers even for a zero-length copy.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -7,8 +7,9 @@ namespace p2pcash::sig {
 
 using bn::BigInt;
 
-namespace detail {
+namespace {
 
+// e = H(R || y || m).
 BigInt challenge_hash(const group::SchnorrGroup& grp, const BigInt& r_point,
                       const BigInt& y,
                       const std::vector<std::uint8_t>& message) {
@@ -29,9 +30,7 @@ BigInt challenge_hash(const group::SchnorrGroup& grp, const BigInt& r_point,
   return bn::mod(BigInt::from_bytes_be(digest), grp.q());
 }
 
-}  // namespace detail
-
-using detail::challenge_hash;
+}  // namespace
 
 std::string PublicKey::fingerprint() const {
   auto digest = crypto::Sha256::hash(y.to_bytes_be());

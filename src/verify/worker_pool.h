@@ -1,12 +1,10 @@
-// worker_pool.h — a fixed-size verification worker pool.
+// worker_pool.h — a fixed-size worker pool: TcpNet's strand executor.
 //
-// The witness hot path is embarrassingly parallel: independent payments
-// touch disjoint coins, and the striped WitnessService (src/ecash/witness)
-// lets concurrent sign_transcript calls proceed as long as they land on
-// different stripes.  This pool is the pipeline in front of it: callers
-// partition payments into batches (so the NIZK batch verifier amortizes
-// the multi-exp) and submit one task per batch; `drain()` is the barrier
-// at the end of a wave.
+// transport::TcpNet submits one drain task per endpoint strand; the pool
+// runs strands of different endpoints concurrently, which is what lets
+// the striped WitnessService (src/ecash/witness) serve sign_transcript
+// calls for different coins in parallel.  `drain()` is the barrier
+// TcpNet::stop() waits on.
 //
 // Lock discipline: the queue mutex sits ABOVE the service level (kPool)
 // because tasks always run with it released — a worker dequeues under the

@@ -168,9 +168,9 @@ TEST(MultiExp, TableMemoryIsReportedAfterUse) {
 }
 
 TEST(MultiExp, DegenerateBatchInputs) {
-  // Degenerate shapes the batch verifier feeds multi_exp must match the
-  // plain ladder exactly: zero exponents, identity bases, and mixes of
-  // both must contribute nothing to the product.
+  // Degenerate shapes must match the plain ladder exactly: zero
+  // exponents, identity bases, and mixes of both must contribute nothing
+  // to the product.
   const SchnorrGroup& grp = SchnorrGroup::test_256();
   crypto::ChaChaRng rng("multi-exp/degenerate");
   BigInt base = bn::random_below(rng, grp.p() - BigInt{1}) + BigInt{1};
@@ -210,33 +210,6 @@ TEST(MultiExp, SingleElementBatchMatchesPlainLadderExactly) {
     BigInt plain = grp.exp(base, e);
     ASSERT_EQ(canonical(batched), canonical(plain)) << "draw " << i;
   }
-}
-
-TEST(MultiExp, PippengerPathAgreesWithProductOfExps) {
-  // 150 bases crosses the bucket-method threshold (128); the result must
-  // still agree with the naive product, including zero exponents and
-  // identity bases sprinkled in.
-  const SchnorrGroup& grp = SchnorrGroup::test_256();
-  crypto::ChaChaRng rng("multi-exp/pippenger");
-  std::vector<BigInt> bases, exps;
-  for (std::size_t i = 0; i < 150; ++i) {
-    if (i % 31 == 0) {
-      bases.push_back(BigInt{1});
-      exps.push_back(grp.random_scalar(rng));
-    } else if (i % 17 == 0) {
-      bases.push_back(bn::random_below(rng, grp.p() - BigInt{1}) + BigInt{1});
-      exps.push_back(BigInt{0});
-    } else {
-      bases.push_back(bn::random_below(rng, grp.p() - BigInt{1}) + BigInt{1});
-      exps.push_back(grp.random_scalar(rng));
-    }
-  }
-  BigInt fused = grp.multi_exp(bases, exps);
-  ScopedDisableFastExp off;
-  BigInt expected{1};
-  for (std::size_t i = 0; i < bases.size(); ++i)
-    expected = grp.mul(expected, grp.exp(bases[i], exps[i]));
-  EXPECT_EQ(fused, expected);
 }
 
 // --- Table 1 invariance: fast paths must not move any op count ----------

@@ -6,7 +6,6 @@
 
 #include "crypto/chacha.h"
 #include "metrics/counters.h"
-#include "sig/batch_verify.h"
 
 namespace p2pcash::sig {
 namespace {
@@ -134,81 +133,6 @@ TEST_P(SigGroupSizeTest, WorksInAllGroups) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Groups, SigGroupSizeTest, ::testing::Values(0, 1));
-
-// ---------------------------------------------------------------------------
-// Batch verification
-// ---------------------------------------------------------------------------
-
-TEST(SigBatch, AllValidBatchAcceptsAcrossSharedAndDistinctKeys) {
-  crypto::ChaChaRng rng("sig-batch-ok");
-  auto k1 = KeyPair::generate(grp(), rng);
-  auto k2 = KeyPair::generate(grp(), rng);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 6; ++i) {
-    const KeyPair& k = i % 2 ? k1 : k2;  // repeated keys dedup membership
-    auto m = msg("payment " + std::to_string(i));
-    items.push_back(BatchItem{k.public_key(), m, k.sign(m, rng)});
-  }
-  auto result = batch_verify(grp(), items);
-  EXPECT_TRUE(result.ok);
-  EXPECT_TRUE(result.bad_indices.empty());
-}
-
-TEST(SigBatch, ForgedSignatureInBatchIsNamed) {
-  crypto::ChaChaRng rng("sig-batch-forged");
-  auto key = KeyPair::generate(grp(), rng);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 8; ++i) {
-    auto m = msg("endorsement " + std::to_string(i));
-    items.push_back(BatchItem{key.public_key(), m, key.sign(m, rng)});
-  }
-  items[5].sig.s = bn::mod(items[5].sig.s + BigInt{1}, grp().q());
-  items[2].message = msg("substituted transcript");
-  auto result = batch_verify(grp(), items);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.bad_indices, (std::vector<std::size_t>{2, 5}));
-}
-
-TEST(SigBatch, DecisionsMatchIndividualVerifier) {
-  // Bit-compatibility: per-index accept/reject must equal n independent
-  // verify() calls, including range rejects and a non-subgroup key.
-  crypto::ChaChaRng rng("sig-batch-compat");
-  auto key = KeyPair::generate(grp(), rng);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 10; ++i) {
-    auto m = msg("item " + std::to_string(i));
-    items.push_back(BatchItem{key.public_key(), m, key.sign(m, rng)});
-  }
-  items[0].sig.e = items[0].sig.e + grp().q();  // non-canonical residue
-  items[4].sig.s = items[4].sig.s - grp().q();  // negative scalar
-  items[7].pk = PublicKey{grp().p() - BigInt{1}};  // not in <g>
-  std::vector<std::size_t> expected_bad;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!verify(grp(), items[i].pk, items[i].message, items[i].sig))
-      expected_bad.push_back(i);
-  }
-  auto result = batch_verify(grp(), items);
-  EXPECT_EQ(result.bad_indices, expected_bad);
-  EXPECT_FALSE(result.ok);
-}
-
-TEST(SigBatch, CountsOneVerPerItemAndNoLeakedExp) {
-  crypto::ChaChaRng rng("sig-batch-metrics");
-  auto key = KeyPair::generate(grp(), rng);
-  std::vector<BatchItem> items;
-  for (int i = 0; i < 4; ++i) {
-    auto m = msg("count " + std::to_string(i));
-    items.push_back(BatchItem{key.public_key(), m, key.sign(m, rng)});
-  }
-  metrics::OpCounters ops;
-  {
-    metrics::ScopedOpCounting guard(ops);
-    EXPECT_TRUE(batch_verify(grp(), items).ok);
-  }
-  EXPECT_EQ(ops.ver, 4u);
-  EXPECT_EQ(ops.exp, 0u);
-  EXPECT_EQ(ops.hash, 0u);
-}
 
 }  // namespace
 }  // namespace p2pcash::sig

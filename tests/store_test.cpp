@@ -1,6 +1,6 @@
 // Durable coin-state store: CRC framing, torn-tail recovery, group commit,
-// compaction, the immutable table-file format, and the golden guarantee
-// that store-backed services produce byte-identical snapshots to plain ones.
+// compaction, and the golden guarantee that store-backed services produce
+// byte-identical snapshots to plain ones.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "store/crc32c.h"
 #include "store/log_store.h"
 #include "store/store.h"
-#include "store/table_file.h"
 #include "store/vfs.h"
 
 namespace p2pcash::store {
@@ -288,7 +287,7 @@ TEST(LogStore, AppendingAfterRecoveryProducesAValidLog) {
   EXPECT_EQ(rec.deltas[1], bytes_of("fresh"));
 }
 
-// ---- PosixVfs + mmap ------------------------------------------------------
+// ---- PosixVfs --------------------------------------------------------------
 
 TEST(PosixVfs, LogRoundTripsOnARealFilesystem) {
   PosixVfs vfs(::testing::TempDir() + "p2pcash_store_test");
@@ -305,82 +304,6 @@ TEST(PosixVfs, LogRoundTripsOnARealFilesystem) {
   ASSERT_EQ(rec.deltas.size(), 1u);
   EXPECT_EQ(rec.deltas[0], bytes_of("delta"));
   vfs.remove("posix.log");
-}
-
-// ---- table file -----------------------------------------------------------
-
-TableKey key_of(std::uint64_t v) {
-  TableKey k{};
-  for (int i = 0; i < 8; ++i)
-    k[kTableKeyBytes - 1 - static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  return k;
-}
-
-TEST(TableFile, BuildsSortsAndSearches) {
-  TableFileBuilder builder(7, 12345);
-  builder.add(key_of(300), bytes_of("r300"));
-  builder.add(key_of(100), bytes_of("r100"));
-  builder.add(key_of(200), bytes_of("r200"));
-  auto bytes = builder.build();
-
-  TableFileView view(bytes);
-  EXPECT_EQ(view.version(), 7u);
-  EXPECT_EQ(view.published_at(), 12345);
-  ASSERT_EQ(view.entry_count(), 3u);
-  EXPECT_EQ(view.key(0), key_of(100));  // sorted on build
-  auto p = view.payload(1);
-  EXPECT_EQ(std::vector<std::uint8_t>(p.begin(), p.end()), bytes_of("r200"));
-
-  EXPECT_FALSE(view.predecessor(key_of(99)).has_value());
-  EXPECT_EQ(view.predecessor(key_of(100)), 0u);
-  EXPECT_EQ(view.predecessor(key_of(250)), 1u);
-  EXPECT_EQ(view.predecessor(key_of(5000)), 2u);
-}
-
-TEST(TableFile, RejectsDuplicateKeysAndCorruptBytes) {
-  TableFileBuilder builder(1, 0);
-  builder.add(key_of(1), bytes_of("a"));
-  builder.add(key_of(1), bytes_of("b"));
-  EXPECT_THROW((void)builder.build(), std::invalid_argument);
-
-  TableFileBuilder ok(1, 0);
-  ok.add(key_of(1), bytes_of("a"));
-  auto bytes = ok.build();
-  // Flip any byte: the trailing CRC (or a structural check) must reject.
-  for (std::size_t i = 0; i < bytes.size(); i += 3) {
-    auto bad = bytes;
-    bad[i] ^= 0x01;
-    EXPECT_THROW(TableFileView{bad}, std::runtime_error) << "byte " << i;
-  }
-  // Truncations are rejected too.
-  for (std::size_t cut : {std::size_t{0}, std::size_t{7}, std::size_t{23}}) {
-    std::span<const std::uint8_t> prefix(bytes.data(), cut);
-    EXPECT_THROW(TableFileView{prefix}, std::runtime_error) << "cut " << cut;
-  }
-}
-
-TEST(TableFile, MmapViewMatchesInMemoryView) {
-  TableFileBuilder builder(3, 99);
-  for (std::uint64_t k = 0; k < 50; ++k)
-    builder.add(key_of(k * 10), bytes_of("payload-" + std::to_string(k)));
-  auto bytes = builder.build();
-
-  PosixVfs vfs(::testing::TempDir() + "p2pcash_store_test");
-  if (vfs.exists("table.p2ptbl")) vfs.remove("table.p2ptbl");
-  vfs.open("table.p2ptbl")->append(bytes);
-  MappedTableFile mapped(vfs.dir() + "/table.p2ptbl");
-  const TableFileView& view = mapped.view();
-  TableFileView mem(bytes);
-  ASSERT_EQ(view.entry_count(), mem.entry_count());
-  for (std::uint32_t i = 0; i < view.entry_count(); ++i) {
-    EXPECT_EQ(view.key(i), mem.key(i));
-    auto a = view.payload(i);
-    auto b = mem.payload(i);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  }
-  vfs.remove("table.p2ptbl");
 }
 
 }  // namespace
@@ -474,39 +397,6 @@ TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
   recovered.checkpoint_store();
   EXPECT_LE(reopened.size_bytes(), before);
   EXPECT_EQ(recovered.snapshot_state(), want.broker_snapshot);
-}
-
-TEST(StoreGolden, ExportedTableFileResolvesEveryLookupIdentically) {
-  const auto& grp = group::SchnorrGroup::test_256();
-  Deployment dep(grp, 8, /*seed=*/99);
-  auto bytes = dep.broker().export_table_file(1);
-  store::TableFileView view(bytes);
-  const WitnessTable& table = dep.broker().current_table();
-  ASSERT_EQ(view.entry_count(), table.entries().size());
-
-  crypto::ChaChaRng rng("table-points");
-  for (int i = 0; i < 200; ++i) {
-    std::vector<std::uint8_t> raw(kRangeBits / 8);
-    rng.fill(raw);
-    auto point = bn::BigInt::from_bytes_be(raw);
-    auto via_file = WitnessTable::lookup_table_file(view, point);
-    auto via_table = table.lookup(point);
-    ASSERT_EQ(via_file.has_value(), via_table.has_value()) << i;
-    if (via_file) {
-      EXPECT_EQ(*via_file, *via_table) << i;
-    }
-  }
-  // Range boundaries resolve identically too (the off-by-one hot spots).
-  for (const auto& e : table.entries()) {
-    auto at_lo = WitnessTable::lookup_table_file(view, e.lo);
-    ASSERT_TRUE(at_lo.has_value());
-    EXPECT_EQ(at_lo->merchant, e.merchant);
-    auto below_hi = WitnessTable::lookup_table_file(view, e.hi - bn::BigInt{1});
-    ASSERT_TRUE(below_hi.has_value());
-    EXPECT_EQ(below_hi->merchant, e.merchant);
-  }
-  EXPECT_THROW((void)dep.broker().export_table_file(42),
-               std::invalid_argument);
 }
 
 }  // namespace

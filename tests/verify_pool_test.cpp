@@ -1,9 +1,8 @@
-// Verification worker pool + striped witness hot path.  Run under
-// -DP2PCASH_SANITIZE=thread this is the TSan proof that the witness's
-// coin-hash-striped locking keeps check-then-sign atomic per coin while
-// payments of different coins proceed in parallel, and that the batch
-// entry point (one RLC multi-exp per wave) makes the same decisions as
-// sequential sign_transcript calls.
+// The worker pool (TcpNet's strand executor) + the striped witness hot
+// path.  Run under -DP2PCASH_SANITIZE=thread this is the TSan proof that
+// the witness's coin-hash-striped locking keeps check-then-sign atomic per
+// coin while payments of different coins proceed in parallel through
+// sign_transcript, the witness's one signing path.
 
 #include "verify/worker_pool.h"
 
@@ -69,7 +68,7 @@ TEST(WorkerPool, ZeroThreadsClampedToOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped witness: batch entry point and concurrent hot path
+// Striped witness: the signing path, alone and concurrent
 // ---------------------------------------------------------------------------
 
 class VerifyPoolTest : public ecash::testing::EcashTest {
@@ -105,89 +104,34 @@ class VerifyPoolTest : public ecash::testing::EcashTest {
   }
 };
 
-TEST_F(VerifyPoolTest, BatchSignEndorsesIndependentCoins) {
-  // Six fresh coins, batched per witness: every payment must come back as
-  // an endorsement, and a sequential retry of each transcript must get the
-  // identical endorsement back (the batch recorded the spends).
-  std::map<MerchantId, std::vector<PaymentTranscript>> waves;
-  std::size_t total = 0;
-  for (int i = 0; i < 6; ++i) {
-    auto coin = withdraw(100, 1000);
-    auto p = prepare(coin, non_witness_merchant(coin), 2000);
-    waves[witness_id(coin)].push_back(p.transcript);
-    ++total;
-  }
-  std::size_t endorsed = 0;
-  for (auto& [id, transcripts] : waves) {
-    auto& witness = *dep_.node(id).witness;
-    auto results = witness.sign_transcript_batch(transcripts, 2100);
-    ASSERT_EQ(results.size(), transcripts.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].refusal().detail;
-      ASSERT_TRUE(std::holds_alternative<WitnessEndorsement>(
-          results[i].value()));
-      ++endorsed;
-      auto retry = witness.sign_transcript(transcripts[i], 2100);
-      ASSERT_TRUE(retry.ok());
-      EXPECT_EQ(std::get<WitnessEndorsement>(retry.value()),
-                std::get<WitnessEndorsement>(results[i].value()));
-    }
-  }
-  EXPECT_EQ(endorsed, total);
-}
-
-TEST_F(VerifyPoolTest, ForgedProofInBatchRefusedWithoutPunishingOthers) {
-  // Collect three coins assigned to the same witness, forge the middle
-  // NIZK: the batch must refuse exactly that payment with kBadProof (named
-  // by the bisection) and endorse the neighbours.
-  std::map<MerchantId, std::vector<WalletCoin>> by_witness;
-  MerchantId target;
-  for (int i = 0; i < 60 && target.empty(); ++i) {
-    auto coin = withdraw(100, 1000);
-    auto& bucket = by_witness[witness_id(coin)];
-    bucket.push_back(coin);
-    if (bucket.size() == 3) target = witness_id(coin);
-  }
-  ASSERT_FALSE(target.empty()) << "no witness accumulated 3 coins";
-  std::vector<PaymentTranscript> transcripts;
-  for (const auto& coin : by_witness[target]) {
-    auto p = prepare(coin, non_witness_merchant(coin), 2000);
-    transcripts.push_back(p.transcript);
-  }
-  transcripts[1].resp.r1 =
-      bn::mod(transcripts[1].resp.r1 + bn::BigInt{1}, dep_.grp().q());
-  auto& witness = *dep_.node(target).witness;
-  auto results = witness.sign_transcript_batch(transcripts, 2100);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].refusal().reason, RefusalReason::kBadProof);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST_F(VerifyPoolTest, SameCoinTwiceInOneBatchResolvesInIndexOrder) {
-  // Two transcripts of ONE coin (same commitment, different datetime, so
-  // different challenges) inside one batch: index order decides — the
-  // first is endorsed, the second is a provable double spend, exactly as
-  // sequential calls would resolve them.
+TEST_F(VerifyPoolTest, ForgedProofRefusedWithoutSpendingTheCoin) {
+  // A transcript whose payment NIZK was tampered with must be refused with
+  // kBadProof before it touches the spend state: no countersignature, no
+  // spend record, and the honest transcript of the same coin still gets
+  // endorsed afterwards.
   auto coin = withdraw(100, 1000);
   auto p = prepare(coin, non_witness_merchant(coin), 2000);
-  auto second =
-      wallet_->build_transcript(coin, p.intent, {p.commitment}, 2075);
-  ASSERT_TRUE(second.ok());
-  std::vector<PaymentTranscript> wave{p.transcript, second.value()};
   auto& witness = witness_for(coin);
-  auto results = witness.sign_transcript_batch(wave, 2100);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok());
-  EXPECT_TRUE(std::holds_alternative<WitnessEndorsement>(results[0].value()));
-  ASSERT_TRUE(results[1].ok());
-  EXPECT_TRUE(std::holds_alternative<DoubleSpendProof>(results[1].value()));
-  EXPECT_TRUE(witness.has_double_spend_record(coin.coin.bare.coin_hash()));
+  const auto state_before = witness.snapshot_state();
+  const std::uint64_t signed_before = witness.coins_signed();
+
+  PaymentTranscript forged = p.transcript;
+  forged.resp.r1 = bn::mod(forged.resp.r1 + bn::BigInt{1}, dep_.grp().q());
+  auto refused = witness.sign_transcript(forged, 2100);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.refusal().reason, RefusalReason::kBadProof);
+  EXPECT_EQ(witness.coins_signed(), signed_before);
+  EXPECT_EQ(witness.snapshot_state(), state_before);
+  EXPECT_FALSE(witness.has_double_spend_record(coin.coin.bare.coin_hash()));
+
+  auto honest = witness.sign_transcript(p.transcript, 2100);
+  ASSERT_TRUE(honest.ok()) << honest.refusal().detail;
+  EXPECT_TRUE(std::holds_alternative<WitnessEndorsement>(honest.value()));
+  EXPECT_EQ(witness.coins_signed(), signed_before + 1);
 }
 
 TEST_F(VerifyPoolTest, PooledSigningOfDisjointCoinsAllEndorse) {
-  // The PR's hot path end to end: independent payments pipelined through
+  // The hot path end to end: independent payments pipelined through
   // the worker pool against striped witnesses.  Different coins land on
   // different stripes, so the tasks genuinely interleave inside each
   // WitnessService; every payment must still endorse exactly once.

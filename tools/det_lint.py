@@ -67,7 +67,7 @@ EXEMPT_DIRS = ("src/bn", "src/crypto", "src/metrics", "src/group",
                "src/sig", "src/blindsig", "src/nizk", "src/wire",
                "src/ecash", "src/verify", "src/transport", "src/baseline",
                "src/escrow",
-               # src/store talks to the real filesystem (PosixVfs, mmap)
+               # src/store talks to the real filesystem (PosixVfs)
                # and measures wall-clock fsync latency by design, like
                # src/transport.  Simulation determinism is preserved by
                # MemVfs + the golden store/no-store equivalence test.
