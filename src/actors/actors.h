@@ -1,7 +1,7 @@
 // actors.h — the four protocol roles as message-passing actors.
 //
-// Same protocol objects as the in-memory Deployment (Broker, Merchant,
-// WitnessService, Wallet), but every protocol step is a network message
+// The protocol objects an ecash::Deployment builds (Broker, Merchant,
+// WitnessService) plus Wallet, but every protocol step is a network message
 // over simnet, and every handler charges virtual compute time from a
 // CostModel based on the crypto ops it actually performed (recorded by the
 // metrics layer).  This is the harness behind Table 2: payment wall-clock

@@ -1,33 +1,25 @@
-// assembly.h — the one recipe that builds a deployment's protocol nodes.
+// assembly.h — a deployment's protocol nodes as actors on a transport.
 //
-// An Assembly creates the broker, the merchant machines (storefront and
-// witness behind one MerchantActor), the clients, and publishes the
-// witness table to everyone — over any transport::Transport.  SimWorld
-// (world.h) hosts one on the simulator, NodeRuntime (runtime.h) on TcpNet;
-// neither host wires a node itself.
+// An Assembly holds the ecash::Deployment (deployment.h: broker, merchant
+// machines, their RNG streams and logs — the one recipe) and hosts it on
+// any transport::Transport: a BrokerActor, one MerchantActor per merchant
+// machine (storefront and witness behind one node), the Directory and the
+// clients.  SimWorld (world.h) hosts one on the simulator, NodeRuntime
+// (runtime.h) on TcpNet; neither host wires a node itself.
 //
-// RNG recipe (fixed — p2pcash_bench's traced walk mirrors it):
-//   setup_rng(seed); the broker's service stream is setup_rng.fork("broker");
-//   then per merchant a signing key drawn from setup_rng, followed by one
-//   setup_rng.fork(id) stream shared by that merchant's storefront and
-//   witness.  Each stream is only touched from its host actor's strand,
-//   which is what makes the recipe safe on worker threads.
-//
-// Durability: given a Vfs, the broker journals into kBrokerLog and every
-// witness into witness_log_name(id) (store::LogStore, with commit/fsync
-// metrics in the host's registry).  restart_broker()/restart_merchant()
-// reopen those logs the way a restarted process would: truncate the torn
-// tail, restore the checkpoint, replay the deltas.
+// Durability: given a Vfs, the Deployment journals every service there;
+// restart_broker()/restart_merchant() reopen those logs (see deployment.h)
+// and reset the merchant actor's volatile RPC state.
 
 #pragma once
 
+#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "actors/actors.h"
+#include "ecash/deployment.h"
 #include "obs/metrics_registry.h"
-#include "store/log_store.h"
 #include "store/vfs.h"
 
 namespace p2pcash::actors {
@@ -51,19 +43,16 @@ class Assembly {
             o.security_deposit, o.retry, o.breaker};
   }
 
-  static constexpr const char* kBrokerLog = "broker.log";
-  static std::string witness_log_name(const MerchantId& id);
-
-  /// Builds broker and merchants on `tx`.  With `vfs`, every service
-  /// journals into its own LogStore there; `registry` receives the store
-  /// metrics.  Both must outlive the assembly.
+  /// Builds the deployment and attaches its nodes to `tx`.  With `vfs`,
+  /// every service journals into its own LogStore there; `registry`
+  /// receives the store metrics.  Both must outlive the assembly.
   Assembly(const group::SchnorrGroup& grp, const Spec& spec,
            transport::Transport& tx, store::Vfs* vfs,
            obs::MetricsRegistry& registry);
   Assembly(const Assembly&) = delete;
   Assembly& operator=(const Assembly&) = delete;
 
-  ecash::Broker& broker() { return *broker_; }
+  ecash::Broker& broker() { return deployment_.broker(); }
   const Directory& directory() const { return directory_; }
 
   std::vector<MerchantId> merchant_ids() const;
@@ -90,30 +79,13 @@ class Assembly {
   void restart_merchant(const MerchantId& id);
 
  private:
-  struct MerchantSlot {
-    MerchantId id;
-    std::unique_ptr<crypto::ChaChaRng> rng;  ///< strand-confined stream
-    std::unique_ptr<store::LogStore> store;  ///< only with a Vfs
-    std::unique_ptr<ecash::Merchant> merchant;
-    std::unique_ptr<ecash::WitnessService> witness;
-    std::unique_ptr<MerchantActor> actor;
-  };
-
-  MerchantSlot& slot(const MerchantId& id);
-  std::unique_ptr<store::LogStore> open_log(const std::string& name);
-
-  const group::SchnorrGroup& grp_;
   Spec spec_;
   transport::Transport& tx_;
-  store::Vfs* vfs_;
-  obs::MetricsRegistry& registry_;
+  ecash::Deployment deployment_;
 
-  std::unique_ptr<crypto::ChaChaRng> broker_rng_;
-  std::unique_ptr<store::LogStore> broker_store_;  ///< only with a Vfs
-  std::unique_ptr<ecash::Broker> broker_;
   std::unique_ptr<BrokerActor> broker_actor_;
   Directory directory_;
-  std::vector<MerchantSlot> merchants_;
+  std::map<MerchantId, std::unique_ptr<MerchantActor>> merchants_;
   std::vector<std::unique_ptr<ClientActor>> clients_;
 };
 

@@ -20,7 +20,7 @@ SimWorld::SimWorld(const group::SchnorrGroup& grp, Options options)
       options_(options),
       sink_(options_.trace_capacity),
       // Forked off its own copy of the seed, so the network's stream never
-      // replays the Assembly's setup stream.
+      // replays the Deployment's setup stream.
       rng_(crypto::ChaChaRng(options_.seed).fork("simnet")) {
   net_ = std::make_unique<simnet::Network>(
       sim_,
@@ -51,13 +51,15 @@ SimWorld::SimWorld(const group::SchnorrGroup& grp, Options options)
   };
   faults_->set_recovery_hooks(
       directory().broker,
-      /*on_crash=*/[tear](NodeId) { tear(Assembly::kBrokerLog); },
+      /*on_crash=*/[tear](NodeId) { tear(ecash::Deployment::kBrokerLog); },
       /*on_restart=*/[this](NodeId) { nodes_->restart_broker(); });
   for (const auto& id : merchant_ids()) {
     faults_->set_recovery_hooks(
         merchant_node(id),
         /*on_crash=*/
-        [tear, id](NodeId) { tear(Assembly::witness_log_name(id)); },
+        [tear, id](NodeId) {
+          tear(ecash::Deployment::witness_log_name(id));
+        },
         /*on_restart=*/[this, id](NodeId) { nodes_->restart_merchant(id); });
   }
 }

@@ -112,8 +112,8 @@ class SimWorld {
   bool tracing() const { return trace_on_; }
 
   /// The Vfs holding every node's log.  Exposed so tests can inspect or
-  /// corrupt log bytes; file names are Assembly::kBrokerLog and
-  /// Assembly::witness_log_name(id).
+  /// corrupt log bytes; file names are ecash::Deployment::kBrokerLog and
+  /// ecash::Deployment::witness_log_name(id).
   store::MemVfs& store_vfs() { return store_vfs_; }
 
  private:

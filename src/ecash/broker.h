@@ -85,9 +85,6 @@ class Broker {
   /// Unlocked on purpose: the key pair changes only in restore_state(),
   /// which requires the broker to be quiescent (no concurrent callers), so
   /// these reads never race with the write.
-  const sig::PublicKey& public_key() const P2P_NO_THREAD_SAFETY_ANALYSIS {
-    return identity_.public_key();
-  }
   sig::PublicKey coin_key() const P2P_NO_THREAD_SAFETY_ANALYSIS {
     return identity_.public_key();
   }
@@ -329,7 +326,7 @@ class Broker {
   group::SchnorrGroup grp_;  // immutable shared parameters: no guard
   bn::Rng& rng_;             // external; only drawn from under mu_
   /// Set by attach_store while quiescent (same contract as the key pair in
-  /// public_key()), then only read — so unguarded reads never race.
+  /// identity_key()), then only read — so unguarded reads never race.
   store::Store* store_ = nullptr;
   /// Serializes every public entry point (see the thread-safety note in
   /// the header comment).  Private helpers assume it is already held.

@@ -4,33 +4,65 @@
 
 namespace p2pcash::ecash {
 
+std::string Deployment::witness_log_name(const MerchantId& id) {
+  return "witness-" + id + ".log";
+}
+
 Deployment::Deployment(const group::SchnorrGroup& grp, std::size_t n_merchants,
                        std::uint64_t seed, Broker::Config config,
-                       Cents security_deposit)
+                       Cents security_deposit, store::Vfs* vfs,
+                       obs::MetricsRegistry* metrics)
     : grp_(grp),
+      vfs_(vfs),
+      metrics_(metrics),
       rng_(seed),
-      broker_(grp_, rng_, config),
+      broker_rng_(rng_.fork("broker")),
+      broker_(grp_, broker_rng_, config),
       arbiter_(grp_) {
   if (n_merchants == 0)
     throw std::invalid_argument("Deployment: need at least one merchant");
+  if (vfs_) {
+    broker_store_ = open_log(kBrokerLog);
+    broker_.attach_store(*broker_store_);
+  }
   for (std::size_t i = 0; i < n_merchants; ++i) {
     MerchantId id = merchant_name(i);
     auto key = sig::KeyPair::generate(grp_, rng_);
     broker_.register_merchant(id, key.public_key(), security_deposit);
     MerchantNode node;
+    node.rng = std::make_unique<crypto::ChaChaRng>(rng_.fork(id));
     node.merchant = std::make_unique<Merchant>(grp_, broker_.coin_key(), id,
-                                               key, rng_);
-    // Fork a private stream per witness service: services at different nodes
-    // sign concurrently, and their per-service rng locks cannot protect a
-    // stream shared across nodes.  The fork label is the merchant id, so
-    // equal seeds still give bit-identical runs.
-    node.witness_rng =
-        std::make_unique<crypto::ChaChaRng>(rng_.fork("witness-" + id));
+                                               key, *node.rng);
     node.witness = std::make_unique<WitnessService>(
-        grp_, broker_.coin_key(), id, key, *node.witness_rng);
+        grp_, broker_.coin_key(), id, key, *node.rng);
+    if (vfs_) {
+      node.store = open_log(witness_log_name(id));
+      node.witness->attach_store(*node.store);
+    }
     nodes_.emplace(std::move(id), std::move(node));
   }
   broker_.publish_witness_table(/*now=*/0);
+}
+
+std::unique_ptr<store::LogStore> Deployment::open_log(
+    const std::string& name) {
+  store::LogStore::Options opts;
+  opts.metrics = metrics_;
+  return std::make_unique<store::LogStore>(*vfs_, name, opts);
+}
+
+void Deployment::restart_broker() {
+  broker_store_.reset();
+  broker_store_ = open_log(kBrokerLog);
+  broker_.attach_store(*broker_store_);
+}
+
+void Deployment::restart_merchant(const MerchantId& id) {
+  MerchantNode& n = node(id);
+  n.store.reset();
+  n.store = open_log(witness_log_name(id));
+  n.witness->attach_store(*n.store);
+  n.merchant->drop_pending();
 }
 
 std::vector<MerchantId> Deployment::merchant_ids() const {
@@ -89,20 +121,10 @@ Outcome<WalletCoin> Deployment::withdraw(Wallet& wallet, Cents denomination,
                                     broker_.current_table());
 }
 
-Deployment::PaymentResult Deployment::pay(Wallet& wallet,
-                                          const WalletCoin& coin,
-                                          const MerchantId& merchant_id,
-                                          Timestamp now) {
-  PaymentResult result;
-  if (offline_.contains(merchant_id)) {
-    result.refusal = Refusal{RefusalReason::kInternal, "merchant offline"};
-    return result;
-  }
-  Merchant& storefront = *node(merchant_id).merchant;
-
-  // Step 1-2: collect witness commitments (need witness_k of witness_n,
-  // from distinct merchants — witness slots may collide on one merchant).
-  auto intent = wallet.prepare_payment(coin, merchant_id);
+Outcome<std::vector<WitnessCommitment>> Deployment::gather_commitments(
+    const WalletCoin& coin, const Wallet::PaymentIntent& intent,
+    Timestamp now) {
+  // Witness slots may collide on one merchant: each commits once.
   std::vector<WitnessCommitment> commitments;
   for (const auto& entry : coin.coin.witnesses) {
     if (commitments.size() >= coin.coin.bare.info.witness_k) break;
@@ -116,11 +138,30 @@ Deployment::PaymentResult Deployment::pay(Wallet& wallet,
                                                     intent.nonce, now);
     if (outcome) commitments.push_back(std::move(outcome).value());
   }
-  if (commitments.size() < coin.coin.bare.info.witness_k) {
-    result.refusal = Refusal{RefusalReason::kInternal,
-                             "not enough reachable witnesses"};
+  if (commitments.size() < coin.coin.bare.info.witness_k)
+    return Refusal{RefusalReason::kInternal, "not enough reachable witnesses"};
+  return commitments;
+}
+
+Deployment::PaymentResult Deployment::pay(Wallet& wallet,
+                                          const WalletCoin& coin,
+                                          const MerchantId& merchant_id,
+                                          Timestamp now) {
+  PaymentResult result;
+  if (offline_.contains(merchant_id)) {
+    result.refusal = Refusal{RefusalReason::kInternal, "merchant offline"};
     return result;
   }
+  Merchant& storefront = *node(merchant_id).merchant;
+
+  // Step 1-2: collect witness commitments.
+  auto intent = wallet.prepare_payment(coin, merchant_id);
+  auto gathered = gather_commitments(coin, intent, now);
+  if (!gathered) {
+    result.refusal = gathered.refusal();
+    return result;
+  }
+  const auto& commitments = gathered.value();
 
   // Step 3: transcript to the merchant.
   auto transcript = wallet.build_transcript(coin, intent, commitments, now);
@@ -207,21 +248,9 @@ Outcome<std::vector<WalletCoin>> Deployment::exchange(
   // Pay the coin to the broker: regular step 1-5 flow with the broker as
   // the (hidden-until-step-3) counterparty.
   auto intent = wallet.prepare_payment(coin, kBrokerCounterparty);
-  std::vector<WitnessCommitment> commitments;
-  for (const auto& entry : coin.coin.witnesses) {
-    if (commitments.size() >= coin.coin.bare.info.witness_k) break;
-    if (offline_.contains(entry.merchant)) continue;
-    bool already = false;
-    for (const auto& c : commitments)
-      if (c.witness == entry.merchant) already = true;
-    if (already) continue;
-    auto outcome = node(entry.merchant)
-                       .witness->request_commitment(intent.coin_hash,
-                                                    intent.nonce, now);
-    if (outcome) commitments.push_back(std::move(outcome).value());
-  }
-  if (commitments.size() < coin.coin.bare.info.witness_k)
-    return Refusal{RefusalReason::kInternal, "not enough reachable witnesses"};
+  auto gathered = gather_commitments(coin, intent, now);
+  if (!gathered) return gathered.refusal();
+  const auto& commitments = gathered.value();
   auto transcript = wallet.build_transcript(coin, intent, commitments, now);
   if (!transcript) return transcript.refusal();
   SignedTranscript st;

@@ -1,17 +1,36 @@
-// deployment.h — an in-memory deployment of the whole system.
+// deployment.h — the one recipe that builds a deployment's protocol nodes.
 //
-// Wires a broker, N merchant nodes (each running both a Merchant storefront
-// and a WitnessService, "at the same time on the same physical hardware"
-// per the paper's prototype), and any number of client wallets, with all
-// protocol messages passed as direct calls.  This is the synchronous
-// counterpart of the simnet actors: same protocol code, no network — used
-// by unit/integration tests, examples and the Table-1 bench.
+// Wires a broker and N merchant machines (each running both a Merchant
+// storefront and a WitnessService, "at the same time on the same physical
+// hardware" per the paper's prototype), publishes witness table v1, and
+// hands out client wallets.  actors::Assembly hosts its actors on exactly
+// these objects, so SimWorld, NodeRuntime and the synchronous drivers below
+// all run one node set.  The drivers pass protocol messages as direct calls
+// — the only drivers of renewal, exchange and transfer, and the Table-1
+// harness.
+//
+// RNG recipe (fixed — p2pcash_bench's traced walk mirrors it):
+//   setup_rng(seed); the broker's service stream is setup_rng.fork("broker");
+//   then per merchant a signing key drawn from setup_rng, followed by one
+//   setup_rng.fork(id) stream shared by that merchant's storefront and
+//   witness.  The storefront never draws from it, so each stream has one
+//   drawing service: on an actor host it is touched only from that node's
+//   strand, and tests that drive one witness from several threads rely on
+//   the witness's own rng lock.
+//
+// Durability: given a Vfs, the broker journals into kBrokerLog (opened
+// before the first merchant registers) and every witness into
+// witness_log_name(id) (store::LogStore, with commit/fsync metrics in the
+// given registry).  restart_broker()/restart_merchant() reopen those logs
+// the way a restarted process would: truncate the torn tail, restore the
+// checkpoint, replay the deltas.
 
 #pragma once
 
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "crypto/chacha.h"
 #include "ecash/arbiter.h"
@@ -19,29 +38,34 @@
 #include "ecash/merchant.h"
 #include "ecash/wallet.h"
 #include "ecash/witness.h"
+#include "store/log_store.h"
+#include "store/vfs.h"
 
 namespace p2pcash::ecash {
 
 /// A merchant machine: storefront plus witness service (separate objects,
-/// mirroring the paper's separate processes).
+/// mirroring the paper's separate processes) on one RNG stream.
 struct MerchantNode {
+  std::unique_ptr<crypto::ChaChaRng> rng;
+  std::unique_ptr<store::LogStore> store;  ///< only with a Vfs
   std::unique_ptr<Merchant> merchant;
-  /// Private RNG stream for the witness service.  Tests drive the witnesses
-  /// of different nodes from several threads at once; each service
-  /// serializes its own draws with its rng_mu_, but that only protects a
-  /// stream no other component touches.
-  std::unique_ptr<crypto::ChaChaRng> witness_rng;
   std::unique_ptr<WitnessService> witness;
 };
 
 class Deployment {
  public:
+  static constexpr const char* kBrokerLog = "broker.log";
+  static std::string witness_log_name(const MerchantId& id);
+
   /// Spins up a broker and `n_merchants` registered merchants named
   /// "m000", "m001", …, publishes witness table v1. Deterministic given
-  /// `seed`.
+  /// `seed`.  With `vfs`, every service journals into its own LogStore
+  /// there and `metrics` (if set) receives the store metrics; both must
+  /// outlive the deployment.
   Deployment(const group::SchnorrGroup& grp, std::size_t n_merchants,
              std::uint64_t seed, Broker::Config config = {},
-             Cents security_deposit = 10'000);
+             Cents security_deposit = 10'000, store::Vfs* vfs = nullptr,
+             obs::MetricsRegistry* metrics = nullptr);
 
   Broker& broker() { return broker_; }
   const group::SchnorrGroup& grp() const { return grp_; }
@@ -58,6 +82,12 @@ class Deployment {
   /// availability fault injection for the A1 bench.
   void set_offline(const MerchantId& id, bool offline);
   bool is_offline(const MerchantId& id) const;
+
+  /// Crash recovery (requires a Vfs): reopen the broker's log.
+  void restart_broker();
+  /// Crash recovery (requires a Vfs): reopen the witness log and drop the
+  /// storefront's half-done payments (they lived in memory only).
+  void restart_merchant(const MerchantId& id);
 
   // ---- high-level protocol drivers ----
 
@@ -107,8 +137,19 @@ class Deployment {
                           Wallet& recipient, Timestamp now);
 
  private:
+  /// Steps 1-2 of a payment: one commitment from each of the coin's first
+  /// witness_k reachable, distinct witness merchants.
+  Outcome<std::vector<WitnessCommitment>> gather_commitments(
+      const WalletCoin& coin, const Wallet::PaymentIntent& intent,
+      Timestamp now);
+  std::unique_ptr<store::LogStore> open_log(const std::string& name);
+
   group::SchnorrGroup grp_;
-  crypto::ChaChaRng rng_;
+  store::Vfs* vfs_;
+  obs::MetricsRegistry* metrics_;
+  crypto::ChaChaRng rng_;         ///< setup stream; then wallet forks
+  crypto::ChaChaRng broker_rng_;  ///< rng_.fork("broker")
+  std::unique_ptr<store::LogStore> broker_store_;  ///< only with a Vfs
   Broker broker_;
   Arbiter arbiter_;
   std::map<MerchantId, MerchantNode> nodes_;

@@ -432,7 +432,7 @@ TEST(ChaosFast, DurableWitnessCrashStillBlocksDoubleSpend) {
   ASSERT_TRUE(first && first->accepted);
   // The committed spend is on the witness's disk, not just in memory.
   EXPECT_FALSE(world.store_vfs()
-                   .contents(Assembly::witness_log_name(witness_id))
+                   .contents(ecash::Deployment::witness_log_name(witness_id))
                    .empty());
 
   world.crash_merchant(witness_id, /*at=*/100, /*restart_at=*/2'000);

@@ -8,17 +8,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "crypto/chacha.h"
+#include "ecash/deployment.h"
 #include "group/schnorr_group.h"
-#include "ecash/broker.h"
-#include "ecash/wallet.h"
-#include "ecash/witness.h"
 #include "metrics/counters.h"
 
 namespace p2pcash::ecash {
@@ -58,34 +55,20 @@ TEST(MetricsConcurrencyTest, ThreadLocalCountersAreIsolated) {
   }
 }
 
-/// Broker plus per-merchant witness services over the fast test group,
-/// built single-threaded; the threads in each test hammer the shared
-/// broker/witness objects.
+/// A Deployment over the fast test group, built single-threaded; the
+/// threads in each test hammer its shared broker/witness objects.
 class EcashConcurrencyTest : public ::testing::Test {
  protected:
   static constexpr int kMerchants = 4;
   static constexpr Timestamp kNow = 1000;
 
   EcashConcurrencyTest()
-      : grp_(group::SchnorrGroup::test_256()),
-        broker_rng_("concurrency/broker"),
-        broker_(grp_, broker_rng_) {
-    for (int i = 0; i < kMerchants; ++i) {
-      MerchantId id = "m";  // built by append: GCC 12 -Wrestrict quirk
-      id += std::to_string(i);
-      auto rng = std::make_unique<crypto::ChaChaRng>("concurrency/" + id);
-      auto key = sig::KeyPair::generate(grp_, *rng);
-      broker_.register_merchant(id, key.public_key(), /*deposit=*/10'000);
-      witnesses_.emplace(
-          id, std::make_unique<WitnessService>(grp_, broker_.identity_key(),
-                                               id, key, *rng));
-      witness_rngs_.push_back(std::move(rng));
-    }
-    broker_.publish_witness_table(kNow);
-  }
+      : dep_(group::SchnorrGroup::test_256(), kMerchants, /*seed=*/2024),
+        broker_(dep_.broker()) {}
 
+  /// A wallet on a caller-owned (thread-private) RNG stream.
   std::unique_ptr<Wallet> make_wallet(bn::Rng& rng) {
-    return std::make_unique<Wallet>(grp_, broker_.coin_key(),
+    return std::make_unique<Wallet>(dep_.grp(), broker_.coin_key(),
                                     broker_.identity_key(), rng);
   }
 
@@ -102,14 +85,11 @@ class EcashConcurrencyTest : public ::testing::Test {
   }
 
   WitnessService& witness_for(const WalletCoin& coin) {
-    return *witnesses_.at(coin.coin.witnesses.at(0).merchant);
+    return *dep_.node(coin.coin.witnesses.at(0).merchant).witness;
   }
 
-  group::SchnorrGroup grp_;
-  crypto::ChaChaRng broker_rng_;
-  Broker broker_;
-  std::map<MerchantId, std::unique_ptr<WitnessService>> witnesses_;
-  std::vector<std::unique_ptr<crypto::ChaChaRng>> witness_rngs_;
+  Deployment dep_;
+  Broker& broker_;
 };
 
 TEST_F(EcashConcurrencyTest, ConcurrentWithdrawalsAllComplete) {
@@ -150,11 +130,11 @@ TEST_F(EcashConcurrencyTest, ConcurrentPaymentsAndDepositsClear) {
     threads.emplace_back([this, t, &deposited, &failed] {
       crypto::ChaChaRng rng("payer/" + std::to_string(t));
       auto wallet = make_wallet(rng);
-      // Every thread pays merchant m<t>, who then deposits — all four
+      // Every thread pays merchant number t, who then deposits — all four
       // stages (withdraw, commit, sign, deposit) run concurrently against
       // the shared broker and witness services.
-      MerchantId payee = "m";
-      payee += std::to_string(t % kMerchants);
+      const MerchantId payee =
+          merchant_name(static_cast<std::size_t>(t % kMerchants));
       auto coin = withdraw(*wallet, 100);
       if (!coin.ok()) {
         failed.fetch_add(1, std::memory_order_relaxed);
@@ -248,8 +228,8 @@ TEST_F(EcashConcurrencyTest, RacingSpendsYieldOneEndorsementOneProof) {
   };
   // Distinct merchants and times give the two spends distinct challenges,
   // so the second one is a provable double spend, not an idempotent retry.
-  std::thread first(spend_at, "m0", kNow + 10);
-  std::thread second(spend_at, "m1", kNow + 20);
+  std::thread first(spend_at, merchant_name(0), kNow + 10);
+  std::thread second(spend_at, merchant_name(1), kNow + 20);
   first.join();
   second.join();
 

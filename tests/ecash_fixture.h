@@ -5,18 +5,20 @@
 #include <gtest/gtest.h>
 
 #include "ecash/deployment.h"
+#include "store/vfs.h"
 
 namespace p2pcash::ecash::testing {
 
 /// Deployment of `kMerchants` merchants over the fast 256-bit test group.
+/// A `journaled` deployment keeps every service's log in vfs_.
 class EcashTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kMerchants = 8;
 
   EcashTest() : EcashTest(Broker::Config{}) {}
-  explicit EcashTest(Broker::Config config)
+  explicit EcashTest(Broker::Config config, bool journaled = false)
       : dep_(group::SchnorrGroup::test_256(), kMerchants, /*seed=*/1234,
-             config),
+             config, 10'000, journaled ? &vfs_ : nullptr),
         wallet_(dep_.make_wallet()) {}
 
   /// Withdraws a coin or fails the test.
@@ -40,6 +42,7 @@ class EcashTest : public ::testing::Test {
     return dep_.merchant_ids().front();
   }
 
+  store::MemVfs vfs_;
   Deployment dep_;
   std::unique_ptr<Wallet> wallet_;
 };

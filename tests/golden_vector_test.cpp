@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "actors/world.h"
 #include "crypto/sha256.h"
 #include "ecash/deployment.h"
+#include "wire/codec.h"
 
 namespace p2pcash::ecash {
 namespace {
@@ -27,6 +29,8 @@ TEST(GoldenVectors, TestGroupParametersArePinned) {
   EXPECT_EQ(group::SchnorrGroup::test_256().q().bit_length(), 160u);
 }
 
+// These digests pin the one node recipe (deployment.h) that SimWorld and
+// NodeRuntime build on too, so they move only with that recipe.
 TEST(GoldenVectors, EndToEndArtifactsArePinned) {
   Deployment dep(group::SchnorrGroup::test_256(), 4, /*seed=*/424242);
   auto wallet = dep.make_wallet();
@@ -34,7 +38,7 @@ TEST(GoldenVectors, EndToEndArtifactsArePinned) {
   ASSERT_TRUE(coin.ok());
   EXPECT_EQ(
       digest_of(wire::encode(coin.value().coin)),
-      "85e92fab283ba04870f20983c6fe7199a4e00dd1e53049ebd03d67abcc0a8f9b");
+      "f71e4d552a6ef02a9ca3e8f68d5e5e0f5398bec7f1bbd9bf4fe18832cf09c823");
 
   MerchantId target = dep.merchant_ids()[0] ==
                               coin.value().coin.witnesses[0].merchant
@@ -45,11 +49,29 @@ TEST(GoldenVectors, EndToEndArtifactsArePinned) {
   ASSERT_EQ(queue.size(), 1u);
   EXPECT_EQ(
       digest_of(wire::encode(queue[0])),
-      "7415ba802d8be7a0dcc1a22ff1a2419a10326a05570869cfd00852aab8ccd2f9");
+      "55249a1dff358e8e86302b1b4cb308a8b1fcd8019b375d999772e2fa653c53bc");
 
   EXPECT_EQ(
       digest_of(wire::encode(dep.broker().current_table())),
-      "7ed32c1e2635371fd053732db8677b53172c1d01a38df6c1ef5bbe7931a06ef7");
+      "444adcd8c44c12fda4e66a66ebdab59a7ab405d6ddeb164a7f288c4666e99ff2");
+}
+
+TEST(GoldenVectors, DeploymentAndSimWorldShareOneRecipe) {
+  // The synchronous Deployment and the actor world are one node set: the
+  // same seed gives the same broker state and the same signed table.
+  const auto& grp = group::SchnorrGroup::test_256();
+  Deployment dep(grp, 5, /*seed=*/99);
+  actors::SimWorld::Options opt;
+  opt.merchants = 5;
+  opt.seed = 99;
+  actors::SimWorld world(grp, opt);
+  EXPECT_EQ(dep.broker().snapshot_state(), world.broker().snapshot_state());
+  EXPECT_EQ(wire::encode(dep.broker().current_table()),
+            wire::encode(world.broker().current_table()));
+  for (const auto& id : dep.merchant_ids())
+    EXPECT_EQ(dep.node(id).witness->snapshot_state(),
+              world.witness(id).snapshot_state())
+        << id;
 }
 
 TEST(GoldenVectors, RerunsAreBitIdentical) {

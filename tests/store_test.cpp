@@ -353,19 +353,10 @@ ScriptResult run_script(Deployment& dep) {
 
 TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
   const auto& grp = group::SchnorrGroup::test_256();
-  Deployment plain(grp, 8, /*seed=*/77);
-  Deployment backed(grp, 8, /*seed=*/77);
-
   store::MemVfs vfs;
-  store::LogStore broker_store(vfs, "broker.log");
-  backed.broker().attach_store(broker_store);
+  Deployment plain(grp, 8, /*seed=*/77);
+  Deployment backed(grp, 8, /*seed=*/77, {}, 10'000, &vfs);
   const auto ids = backed.merchant_ids();
-  std::vector<std::unique_ptr<store::LogStore>> witness_stores;
-  for (const auto& id : ids) {
-    witness_stores.push_back(
-        std::make_unique<store::LogStore>(vfs, "witness-" + id + ".log"));
-    backed.node(id).witness->attach_store(*witness_stores.back());
-  }
 
   // Journaling is invisible: every service ends in the unjournaled bytes.
   auto want = run_script(plain);
@@ -377,14 +368,14 @@ TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
 
   // Recover a fresh broker from the log alone: same bytes again.
   crypto::ChaChaRng rng("recovery");
-  store::LogStore reopened(vfs, "broker.log");
+  store::LogStore reopened(vfs, Deployment::kBrokerLog);
   Broker recovered(grp, rng);
   recovered.attach_store(reopened);
   EXPECT_EQ(recovered.snapshot_state(), want.broker_snapshot);
 
   // Likewise every witness, recovered from its own log.
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    store::LogStore witness_log(vfs, "witness-" + ids[i] + ".log");
+    store::LogStore witness_log(vfs, Deployment::witness_log_name(ids[i]));
     EXPECT_GT(witness_log.stats().recovered_records, 0u) << ids[i];
     WitnessService witness(grp, backed.broker().coin_key(), ids[i],
                            sig::KeyPair::generate(grp, rng), rng);

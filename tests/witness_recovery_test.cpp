@@ -37,6 +37,8 @@ std::uint32_t be32_at(const std::vector<std::uint8_t>& b, std::size_t off) {
 
 class WitnessRecoveryTest : public EcashTest {
  protected:
+  WitnessRecoveryTest() : EcashTest(Broker::Config{}, /*journaled=*/true) {}
+
   /// Simulates a crash/restart of the given witness: snapshot, destroy,
   /// rebuild with the same key, restore.
   void crash_and_restore(const MerchantId& id, bool with_snapshot) {
@@ -151,19 +153,11 @@ TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
   // cuts inside each record.  A rebuilt witness must reproduce the
   // acknowledged spent-coin state byte-for-byte — amnesia here is exactly
   // the faulty-witness case the broker charges for.
-  store::MemVfs vfs;
-  std::vector<std::unique_ptr<store::LogStore>> stores;
-  for (const auto& id : dep_.merchant_ids()) {
-    stores.push_back(
-        std::make_unique<store::LogStore>(vfs, "witness-" + id + ".log"));
-    dep_.node(id).witness->attach_store(*stores.back());
-  }
-
   std::vector<WalletCoin> coins;
   for (int i = 0; i < 22; ++i) coins.push_back(withdraw(100));
 
   const auto w = coins[0].coin.witnesses[0].merchant;
-  const std::string log_name = "witness-" + w + ".log";
+  const std::string log_name = Deployment::witness_log_name(w);
 
   struct Ack {
     std::uint64_t offset;
@@ -173,7 +167,7 @@ TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
   // Only this witness's log matters; dedupe marks where an operation did
   // not involve `w` (its log did not grow).
   auto mark = [&]() {
-    const std::uint64_t len = vfs.contents(log_name).size();
+    const std::uint64_t len = vfs_.contents(log_name).size();
     if (!acks.empty() && acks.back().offset == len) return;
     acks.push_back({len, dep_.node(w).witness->snapshot_state()});
   };
@@ -221,7 +215,7 @@ TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
     mark();
   }
 
-  const auto final_log = vfs.contents(log_name);
+  const auto final_log = vfs_.contents(log_name);
   ASSERT_GT(acks.size(), 3u);  // the designated witness did real work
 
   std::vector<std::uint64_t> bounds{0};
@@ -269,15 +263,16 @@ TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
   //    recovered spent-record must produce a verifying proof, not a second
   //    signature.
   {
-    stores.push_back(std::make_unique<store::LogStore>(vfs, log_name));
+    auto log = std::make_unique<store::LogStore>(vfs_, log_name);
     auto key = sig::KeyPair::from_secret(
         dep_.grp(), dep_.node(w).merchant->key_pair().secret());
     auto reborn = std::make_unique<WitnessService>(
         dep_.grp(), dep_.broker().coin_key(), w, key, dep_.rng());
-    reborn->attach_store(*stores.back());
+    reborn->attach_store(*log);
     EXPECT_EQ(reborn->snapshot_state(),
               dep_.node(w).witness->snapshot_state());
     dep_.node(w).witness = std::move(reborn);
+    dep_.node(w).store = std::move(log);
 
     // Find a spent coin whose witness set includes w.
     for (int i = 0; i < 16; ++i) {

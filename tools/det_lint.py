@@ -45,10 +45,12 @@ from pathlib import Path
 
 # Directories where seed-replay determinism is a tested guarantee: the
 # simulation core, everything that runs inside it, and the observability
-# stack whose dumps are byte-compared across replays.  src/sync is
-# included because lock-order violation reports feed test assertions.
+# stack whose dumps are byte-compared across replays.  src/ecash is
+# included because ecash::Deployment builds every SimWorld node (and its
+# RNG streams); src/sync because lock-order violation reports feed test
+# assertions.
 DET_DIRS = ("src/simnet", "src/actors", "src/overlay", "src/obs",
-            "src/sync")
+            "src/sync", "src/ecash")
 
 # Directories explicitly OUTSIDE the determinism guarantee.  This is the
 # escape hatch for code whose whole point is the real world:
@@ -57,7 +59,7 @@ DET_DIRS = ("src/simnet", "src/actors", "src/overlay", "src/obs",
 #     shim (actors over simnet stay seed-replayable, pinned by chaos_test).
 #     Nothing in src/transport may be reached from a simnet replay path —
 #     SimWorld never constructs a TcpNet.
-#   * everything else here is pure computation (crypto, codec, services)
+#   * everything else here is pure computation (crypto, codec, escrow)
 #     or test/bench scaffolding that the replay tests don't byte-compare.
 # Every immediate subdirectory of src/ must appear in DET_DIRS or
 # EXEMPT_DIRS — an unclassified module is an error, so new code cannot
@@ -65,7 +67,7 @@ DET_DIRS = ("src/simnet", "src/actors", "src/overlay", "src/obs",
 # module manifest).
 EXEMPT_DIRS = ("src/bn", "src/crypto", "src/metrics", "src/group",
                "src/sig", "src/blindsig", "src/nizk", "src/wire",
-               "src/ecash", "src/verify", "src/transport", "src/baseline",
+               "src/verify", "src/transport", "src/baseline",
                "src/escrow",
                # src/store talks to the real filesystem (PosixVfs)
                # and measures wall-clock fsync latency by design, like
