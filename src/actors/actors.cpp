@@ -63,6 +63,23 @@ void ProtocolActor::note(std::uint64_t metrics::ResilienceCounters::*counter,
   trace_note(ctx, event, detail);
 }
 
+template <class Find, class OnSilence, class Resend>
+void ProtocolActor::retry_on_silence(const RetryPolicy& policy,
+                                     std::size_t sent, Find find,
+                                     OnSilence on_silence, Resend resend) {
+  schedule(policy.attempt_timeout_ms, [=, this, &policy] {
+    const auto [request, attempts] = find();
+    if (!request || attempts->sent != sent || !on_silence(*request)) return;
+    attempts->prev_backoff = policy.next_backoff(attempts->prev_backoff, rng());
+    schedule(attempts->prev_backoff, [=, this, &policy] {
+      const auto [current, current_attempts] = find();
+      if (!current || current_attempts->sent != sent || resend(*current))
+        return;
+      retry_on_silence(policy, sent, find, on_silence, resend);  // declined
+    });
+  });
+}
+
 // ---------------------------------------------------------------------------
 // BrokerActor
 // ---------------------------------------------------------------------------
@@ -429,10 +446,9 @@ void MerchantActor::flush_deposits() {
   // still, iterate defensively over a stable key list.
   std::vector<Hash256> to_send;
   for (auto& [coin_hash, pd] : pending_deposits_) {
-    if (pd.attempts > 0 && !pd.exhausted) continue;  // retry loop is running
+    if (pd.attempts.sent > 0 && !pd.exhausted) continue;  // loop is running
     pd.exhausted = false;
-    pd.attempts = 0;
-    pd.prev_backoff = 0;
+    pd.attempts = {};
     to_send.push_back(coin_hash);
   }
   for (const auto& coin_hash : to_send) send_deposit(coin_hash);
@@ -443,46 +459,35 @@ void MerchantActor::send_deposit(const Hash256& coin_hash) {
   if (it == pending_deposits_.end()) return;
   PendingDeposit& pd = it->second;
   if (!pd.span.valid()) pd.span = start_span(pd.parent, "deposit");
-  ++pd.attempts;
+  ++pd.attempts.sent;
   send_now(Message{id(), directory_.broker, "deposit.submit", pd.payload,
                    pd.span});
-  arm_deposit_timer(coin_hash, pd.attempts);
-}
-
-void MerchantActor::arm_deposit_timer(const Hash256& coin_hash,
-                                      std::size_t attempts_when_armed) {
-  const std::uint64_t restart_gen = restart_generation_;
-  schedule(
-      retry_.attempt_timeout_ms,
-      [this, coin_hash, attempts_when_armed, restart_gen]() {
-        if (restart_gen != restart_generation_) return;
-        auto it = pending_deposits_.find(coin_hash);
-        if (it == pending_deposits_.end()) return;  // acknowledged
-        PendingDeposit& pd = it->second;
-        if (pd.exhausted || pd.attempts != attempts_when_armed) return;
-        if (pd.attempts >= retry_.max_attempts) {
-          // Keep the transcript; a later flush_deposits() re-submits it.
-          pd.exhausted = true;
-          note(&Counters::timeouts, pd.span, "rpc.exhausted",
-               "deposit retries exhausted; parked for next flush");
-          if (auto* tr = tracer()) tr->end_span(pd.span, "exhausted");
-          pd.span = obs::TraceContext{};
-          return;
-        }
-        const SimTime backoff = retry_.next_backoff(pd.prev_backoff, rng());
-        pd.prev_backoff = backoff;
-        schedule(
-            backoff, [this, coin_hash, attempts_when_armed, restart_gen]() {
-              if (restart_gen != restart_generation_) return;
-              auto it2 = pending_deposits_.find(coin_hash);
-              if (it2 == pending_deposits_.end()) return;
-              if (it2->second.exhausted ||
-                  it2->second.attempts != attempts_when_armed)
-                return;
-              note(&Counters::retries, it2->second.span, "rpc.retry",
-                   "deposit attempt timed out; resending");
-              send_deposit(coin_hash);
-            });
+  retry_on_silence(
+      retry_, pd.attempts.sent,
+      [this, coin_hash,
+       restart_gen = restart_generation_]() -> Found<PendingDeposit> {
+        auto found = pending_deposits_.find(coin_hash);
+        if (restart_gen != restart_generation_ ||
+            found == pending_deposits_.end() || found->second.exhausted)
+          return {};
+        return {&found->second, &found->second.attempts};
+      },
+      [this](PendingDeposit& deposit) {
+        trace_note(deposit.span, "rpc.silence", "no receipt from the broker");
+        if (deposit.attempts.sent < retry_.max_attempts) return true;
+        // Keep the transcript; a later flush_deposits() re-submits it.
+        deposit.exhausted = true;
+        note(&Counters::timeouts, deposit.span, "rpc.exhausted",
+             "deposit retries exhausted; parked for next flush");
+        if (auto* tr = tracer()) tr->end_span(deposit.span, "exhausted");
+        deposit.span = obs::TraceContext{};
+        return false;
+      },
+      [this, coin_hash](PendingDeposit& deposit) {
+        note(&Counters::retries, deposit.span, "rpc.retry",
+             "deposit attempt timed out; resending");
+        send_deposit(coin_hash);
+        return true;
       });
 }
 
@@ -518,7 +523,6 @@ void MerchantActor::on_restart() {
   // re-submission by the next flush_deposits() instead of resending here.
   for (auto& [coin_hash, pd] : pending_deposits_) {
     pd.exhausted = true;
-    pd.prev_backoff = 0;
     trace_note(pd.span, "node.restart", "merchant restarted mid-deposit");
     if (auto* tr = tracer()) tr->end_span(pd.span, "restart");
     pd.span = obs::TraceContext{};
@@ -533,14 +537,18 @@ ClientActor::ClientActor(transport::Transport& tx, simnet::CostModel cost,
                          const group::SchnorrGroup& grp,
                          sig::PublicKey broker_key,
                          const ecash::WitnessTable& table,
-                         const Directory& directory, std::uint64_t seed)
+                         const Directory& directory, std::uint64_t seed,
+                         const RetryPolicy& retry,
+                         const PeerHealth::Config& breaker)
     : ProtocolActor(tx, cost),
       grp_(grp),
       broker_key_(broker_key),
       table_(table),
       directory_(directory),
       rng_(seed),
-      wallet_(grp, broker_key, broker_key, rng_) {}
+      wallet_(grp, broker_key, broker_key, rng_),
+      retry_(retry),
+      health_(breaker) {}
 
 void ClientActor::withdraw(Cents denomination, WithdrawCallback done,
                            SimTime deadline_ms) {
@@ -581,57 +589,43 @@ void ClientActor::withdraw(Cents denomination, WithdrawCallback done,
   withdrawal_requests_[req_id] = std::move(pending);
   send_now(Message{id(), directory_.broker, "withdraw.start",
                    std::move(payload), span});
-  if (deadline_ms > 0) arm_withdraw_timer(false, req_id, generation, 1);
+  if (deadline_ms > 0) retry_withdrawal(false, req_id, generation, 1);
 }
 
-ClientActor::PendingWithdrawal* ClientActor::find_withdrawal(
-    bool by_session, std::uint64_t key, std::uint64_t generation) {
-  auto& map = by_session ? withdrawal_sessions_ : withdrawal_requests_;
-  auto it = map.find(key);
-  if (it == map.end() || it->second.generation != generation) return nullptr;
-  return &it->second;
-}
-
-void ClientActor::arm_withdraw_timer(bool by_session, std::uint64_t key,
-                                     std::uint64_t generation,
-                                     std::size_t attempts) {
-  schedule(retry_.attempt_timeout_ms,
-                      [this, by_session, key, generation, attempts]() {
-                        on_withdraw_silence(by_session, key, generation,
-                                            attempts);
-                      });
-}
-
-void ClientActor::on_withdraw_silence(bool by_session, std::uint64_t key,
-                                      std::uint64_t generation,
-                                      std::size_t attempts) {
-  PendingWithdrawal* pending = find_withdrawal(by_session, key, generation);
-  if (!pending || pending->deadline <= 0) return;
-  if (pending->attempts != attempts) return;  // a newer attempt is in flight
-  trace_note(pending->span, "rpc.silence", "no broker reply before timeout");
-  if (health_.record_failure(directory_.broker, now_ms())) {
-    note(&Counters::breaker_trips, pending->span, "breaker.trip",
-         "broker circuit opened");
-  }
-  if (pending->attempts >= retry_.max_attempts) return;  // deadline decides
-  const SimTime backoff = retry_.next_backoff(pending->prev_backoff,
-                                              rng());
-  pending->prev_backoff = backoff;
-  schedule(backoff, [this, by_session, key, generation,
-                                attempts]() {
-    PendingWithdrawal* p = find_withdrawal(by_session, key, generation);
-    if (!p || p->attempts != attempts) return;
-    if (!health_.allow(directory_.broker, now_ms())) {
-      // Breaker open: re-arm so the retry loop resumes with the probe.
-      arm_withdraw_timer(by_session, key, generation, attempts);
-      return;
-    }
-    ++p->attempts;
-    note(&Counters::retries, p->span, "rpc.retry", "resending " + p->last_type);
-    send_now(Message{id(), directory_.broker, p->last_type, p->last_payload,
-                     p->span});
-    arm_withdraw_timer(by_session, key, generation, p->attempts);
-  });
+void ClientActor::retry_withdrawal(bool by_session, std::uint64_t key,
+                                   std::uint64_t generation, std::size_t sent) {
+  retry_on_silence(
+      retry_, sent,
+      [this, by_session, key, generation]() -> Found<PendingWithdrawal> {
+        auto& map = by_session ? withdrawal_sessions_ : withdrawal_requests_;
+        auto found = map.find(key);
+        if (found == map.end() || found->second.generation != generation)
+          return {};
+        return {&found->second, &found->second.attempts};
+      },
+      [this](PendingWithdrawal& w) {
+        trace_note(w.span, "rpc.silence", "no broker reply before timeout");
+        if (health_.record_failure(directory_.broker, now_ms())) {
+          note(&Counters::breaker_trips, w.span, "breaker.trip",
+               "broker circuit opened");
+        }
+        if (w.attempts.sent < retry_.max_attempts) return true;
+        trace_note(w.span, "rpc.exhausted",
+                   "broker attempt budget spent; the deadline decides");
+        return false;
+      },
+      [this, by_session, key, generation](PendingWithdrawal& w) {
+        // Breaker open: decline, so the loop re-arms and resumes with the
+        // half-open probe.
+        if (!health_.allow(directory_.broker, now_ms())) return false;
+        ++w.attempts.sent;
+        note(&Counters::retries, w.span, "rpc.retry",
+             "resending " + w.last_type);
+        send_now(Message{id(), directory_.broker, w.last_type, w.last_payload,
+                         w.span});
+        retry_withdrawal(by_session, key, generation, w.attempts.sent);
+        return true;
+      });
 }
 
 void ClientActor::handle_withdraw_offer(const Message& msg) {
@@ -672,11 +666,10 @@ void ClientActor::handle_withdraw_offer(const Message& msg) {
   const bool retries = pending.deadline > 0;
   pending.last_type = "withdraw.challenge";
   pending.last_payload = reply.payload;
-  pending.attempts = 1;
-  pending.prev_backoff = 0;
+  pending.attempts = Attempts{.sent = 1};
   withdrawal_sessions_[session] = std::move(pending);
   send_after_cost(ops, std::move(reply));
-  if (retries) arm_withdraw_timer(true, session, generation, 1);
+  if (retries) retry_withdrawal(true, session, generation, 1);
 }
 
 void ClientActor::handle_withdraw_response(const Message& msg) {
@@ -808,9 +801,9 @@ void ClientActor::pay(const ecash::WalletCoin& coin,
   // order, after charging the preparation cost once.  The rest of the plan
   // is spare capacity for failover.
   auto engage = [this, coin_hash, generation]() {
-    auto it = payments_.find(coin_hash);
-    if (it == payments_.end() || it->second.generation != generation) return;
-    PendingPayment& payment = it->second;
+    PendingPayment* found = find_payment(coin_hash, generation);
+    if (!found) return;
+    PendingPayment& payment = *found;
     // Witness selection done: move the trace into the commit phase.
     if (auto* tr = tracer()) {
       tr->end_span(payment.phase);
@@ -820,7 +813,7 @@ void ClientActor::pay(const ecash::WalletCoin& coin,
     const std::size_t need = payment.coin.coin.bare.info.witness_k;
     std::size_t engaged = 0;
     for (std::size_t i = 0; i < payment.plan.size() && engaged < need; ++i) {
-      if (!health_.allow(payment.plan[i].node, now_ms())) continue;
+      if (!admit_witness(payment, payment.plan[i].node)) continue;
       send_commit_req(payment, i);
       ++engaged;
     }
@@ -833,88 +826,82 @@ void ClientActor::pay(const ecash::WalletCoin& coin,
   }
 
   schedule(timeout_ms, [this, coin_hash, generation]() {
-    auto it = payments_.find(coin_hash);
-    if (it == payments_.end() || it->second.generation != generation) return;
+    PendingPayment* payment = find_payment(coin_hash, generation);
+    if (!payment) return;
     PayResult result;
     result.accepted = false;
-    result.elapsed_ms = now_ms() - it->second.started;
+    result.elapsed_ms = now_ms() - payment->started;
     result.error = "timeout";
-    note(&Counters::timeouts, it->second.phase, "rpc.timeout",
+    note(&Counters::timeouts, payment->phase, "rpc.timeout",
          "payment deadline expired");
-    finish_payment(it->second, std::move(result));
+    finish_payment(*payment, std::move(result));
   });
+}
+
+ClientActor::PendingPayment* ClientActor::find_payment(
+    const Hash256& coin_hash, std::uint64_t generation) {
+  auto it = payments_.find(coin_hash);
+  if (it == payments_.end() || it->second.generation != generation)
+    return nullptr;
+  return &it->second;
+}
+
+bool ClientActor::admit_witness(const PendingPayment& p, NodeId node) {
+  if (health_.allow(node, now_ms())) return true;
+  trace_note(p.phase, "breaker.skip", "witness node " + std::to_string(node));
+  return false;
 }
 
 void ClientActor::send_commit_req(PendingPayment& p, std::size_t index) {
   WitnessAttempt& attempt = p.plan[index];
-  ++attempt.attempts;
+  ++attempt.attempts.sent;
   send_now(Message{id(), attempt.node, "pay.commit_req", p.commit_payload,
                    p.phase});
-  arm_commit_timer(p.intent.coin_hash, p.generation, index, attempt.attempts);
-}
-
-void ClientActor::arm_commit_timer(const Hash256& coin_hash,
-                                   std::uint64_t generation, std::size_t index,
-                                   std::size_t attempts) {
-  schedule(retry_.attempt_timeout_ms,
-                      [this, coin_hash, generation, index, attempts]() {
-                        on_commit_silence(coin_hash, generation, index,
-                                          attempts);
-                      });
-}
-
-void ClientActor::on_commit_silence(const Hash256& coin_hash,
-                                    std::uint64_t generation,
-                                    std::size_t index, std::size_t attempts) {
-  auto it = payments_.find(coin_hash);
-  if (it == payments_.end() || it->second.generation != generation) return;
-  PendingPayment& p = it->second;
-  if (!p.transcript_payload.empty()) return;  // commit stage already done
-  WitnessAttempt& attempt = p.plan[index];
-  if (attempt.committed || attempt.refused || attempt.exhausted ||
-      attempt.attempts != attempts)
-    return;
-  // Silence: the witness (or the path to it) is failing.  Hedge with the
-  // next replica immediately, and retry this one with backoff until its
-  // attempt budget runs out.
-  trace_note(p.phase, "rpc.silence",
-             "no commit from witness node " + std::to_string(attempt.node));
-  if (health_.record_failure(attempt.node, now_ms())) {
-    note(&Counters::breaker_trips, p.phase, "breaker.trip",
-         "witness node " + std::to_string(attempt.node) + " circuit opened");
-  }
-  engage_next_witness(p);
-  if (attempt.attempts >= retry_.max_attempts) {
-    attempt.exhausted = true;
-    trace_note(p.phase, "rpc.exhausted",
-               "witness node " + std::to_string(attempt.node) +
-                   " attempt budget spent");
-    check_commit_possibility(p, "witness unreachable");
-    return;
-  }
-  const SimTime backoff = retry_.next_backoff(attempt.prev_backoff, rng());
-  attempt.prev_backoff = backoff;
-  schedule(backoff, [this, coin_hash, generation, index,
-                                attempts]() {
-    auto it2 = payments_.find(coin_hash);
-    if (it2 == payments_.end() || it2->second.generation != generation) return;
-    PendingPayment& p2 = it2->second;
-    if (!p2.transcript_payload.empty()) return;
-    WitnessAttempt& a2 = p2.plan[index];
-    if (a2.committed || a2.refused || a2.exhausted || a2.attempts != attempts)
-      return;
-    note(&Counters::retries, p2.phase, "rpc.retry",
-         "re-requesting commitment from witness node " +
-             std::to_string(a2.node));
-    send_commit_req(p2, index);
-  });
+  retry_on_silence(
+      retry_, attempt.attempts.sent,
+      [this, coin_hash = p.intent.coin_hash, generation = p.generation,
+       index]() -> Found<PendingPayment> {
+        PendingPayment* payment = find_payment(coin_hash, generation);
+        // Answered: the commit stage is over, or this witness is settled.
+        if (!payment || !payment->transcript_payload.empty()) return {};
+        WitnessAttempt& a = payment->plan[index];
+        if (a.committed || a.refused || a.exhausted) return {};
+        return {payment, &a.attempts};
+      },
+      [this, index](PendingPayment& payment) {
+        // Silence: the witness (or the path to it) is failing.  Hedge with
+        // the next replica immediately, and retry this one with backoff
+        // until its attempt budget runs out.
+        WitnessAttempt& a = payment.plan[index];
+        const std::string node = "witness node " + std::to_string(a.node);
+        trace_note(payment.phase, "rpc.silence", "no commit from " + node);
+        if (health_.record_failure(a.node, now_ms())) {
+          note(&Counters::breaker_trips, payment.phase, "breaker.trip",
+               node + " circuit opened");
+        }
+        engage_next_witness(payment);
+        if (a.attempts.sent < retry_.max_attempts) return true;
+        a.exhausted = true;
+        trace_note(payment.phase, "rpc.exhausted",
+                   node + " attempt budget spent");
+        check_commit_possibility(payment, "witness unreachable");
+        return false;
+      },
+      [this, index](PendingPayment& payment) {
+        note(&Counters::retries, payment.phase, "rpc.retry",
+             "re-requesting commitment from witness node " +
+                 std::to_string(payment.plan[index].node));
+        send_commit_req(payment, index);
+        return true;
+      });
 }
 
 void ClientActor::engage_next_witness(PendingPayment& p) {
   for (std::size_t i = 0; i < p.plan.size(); ++i) {
     WitnessAttempt& attempt = p.plan[i];
-    if (attempt.attempts > 0 || attempt.refused || attempt.exhausted) continue;
-    if (!health_.allow(attempt.node, now_ms())) continue;
+    if (attempt.attempts.sent > 0 || attempt.refused || attempt.exhausted)
+      continue;
+    if (!admit_witness(p, attempt.node)) continue;
     note(&Counters::failovers, p.phase, "rpc.failover",
          "engaging spare witness node " + std::to_string(attempt.node));
     send_commit_req(p, i);
@@ -1010,9 +997,8 @@ void ClientActor::handle_commit(const Message& msg) {
   const std::uint64_t generation = p.generation;
   const SimTime build_cost = cost_.sample_cost_ms(ops, rng());
   auto deliver = [this, coin_hash, generation]() {
-    auto it2 = payments_.find(coin_hash);
-    if (it2 == payments_.end() || it2->second.generation != generation) return;
-    send_transcript(it2->second);
+    if (PendingPayment* payment = find_payment(coin_hash, generation))
+      send_transcript(*payment);
   };
   if (build_cost > 0) {
     schedule(build_cost, deliver);
@@ -1022,53 +1008,40 @@ void ClientActor::handle_commit(const Message& msg) {
 }
 
 void ClientActor::send_transcript(PendingPayment& p) {
-  ++p.transcript_attempts;
+  ++p.transcript.sent;
   send_now(Message{id(), p.merchant_node, "pay.transcript",
                    p.transcript_payload, p.phase});
-  arm_transcript_timer(p.intent.coin_hash, p.generation,
-                       p.transcript_attempts);
-}
-
-void ClientActor::arm_transcript_timer(const Hash256& coin_hash,
-                                       std::uint64_t generation,
-                                       std::size_t attempts) {
-  schedule(retry_.attempt_timeout_ms,
-                      [this, coin_hash, generation, attempts]() {
-                        on_transcript_silence(coin_hash, generation, attempts);
-                      });
-}
-
-void ClientActor::on_transcript_silence(const Hash256& coin_hash,
-                                        std::uint64_t generation,
-                                        std::size_t attempts) {
-  auto it = payments_.find(coin_hash);
-  if (it == payments_.end() || it->second.generation != generation) return;
-  PendingPayment& p = it->second;
-  if (p.transcript_attempts != attempts) return;  // a resend superseded this
-  trace_note(p.phase, "rpc.silence", "no merchant reply to transcript");
-  if (health_.record_failure(p.merchant_node, now_ms())) {
-    note(&Counters::breaker_trips, p.phase, "breaker.trip",
-         "merchant circuit opened");
-  }
-  if (p.transcript_attempts >= retry_.max_attempts) {
-    // The merchant is the one fixed counterparty — no failover target.
-    PayResult result;
-    result.elapsed_ms = now_ms() - p.started;
-    result.error = "merchant unreachable";
-    finish_payment(p, std::move(result));
-    return;
-  }
-  const SimTime backoff =
-      retry_.next_backoff(p.transcript_prev_backoff, rng());
-  p.transcript_prev_backoff = backoff;
-  schedule(backoff, [this, coin_hash, generation, attempts]() {
-    auto it2 = payments_.find(coin_hash);
-    if (it2 == payments_.end() || it2->second.generation != generation) return;
-    PendingPayment& p2 = it2->second;
-    if (p2.transcript_attempts != attempts) return;
-    note(&Counters::retries, p2.phase, "rpc.retry", "resending transcript");
-    send_transcript(p2);
-  });
+  retry_on_silence(
+      retry_, p.transcript.sent,
+      [this, coin_hash = p.intent.coin_hash,
+       generation = p.generation]() -> Found<PendingPayment> {
+        PendingPayment* payment = find_payment(coin_hash, generation);
+        if (!payment) return {};
+        return {payment, &payment->transcript};
+      },
+      [this](PendingPayment& payment) {
+        trace_note(payment.phase, "rpc.silence",
+                   "no merchant reply to transcript");
+        if (health_.record_failure(payment.merchant_node, now_ms())) {
+          note(&Counters::breaker_trips, payment.phase, "breaker.trip",
+               "merchant circuit opened");
+        }
+        if (payment.transcript.sent < retry_.max_attempts) return true;
+        // The merchant is the one fixed counterparty — no failover target.
+        trace_note(payment.phase, "rpc.exhausted",
+                   "merchant attempt budget spent");
+        PayResult result;
+        result.elapsed_ms = now_ms() - payment.started;
+        result.error = "merchant unreachable";
+        finish_payment(payment, std::move(result));
+        return false;
+      },
+      [this](PendingPayment& payment) {
+        note(&Counters::retries, payment.phase, "rpc.retry",
+             "resending transcript");
+        send_transcript(payment);
+        return true;
+      });
 }
 
 void ClientActor::handle_pay_reply(const Message& msg) {

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "actors/retry.h"
 #include "crypto/chacha.h"
@@ -102,6 +103,25 @@ class ProtocolActor : public simnet::Node {
             const obs::TraceContext& ctx, std::string_view event,
             std::string_view detail = {});
 
+  /// What a retry loop's lookup returns: the request and its Attempts.
+  template <class Request>
+  using Found = std::pair<Request*, Attempts*>;
+
+  /// The one retry loop behind every resilient RPC (retry.h).  Arms the
+  /// silence timer for send number `sent`.  When it fires, `find()`
+  /// re-finds the request as a {request*, Attempts*} pair — {} once it was
+  /// answered, abandoned or orphaned by a restart; a newer send makes it
+  /// stale too.  `on_silence(request)` is the caller's policy (breaker
+  /// bookkeeping, hedging, what a spent budget means) and returns false to
+  /// end the loop.  Otherwise, one decorrelated-jitter backoff later, the
+  /// request is re-found and `resend(request)` sends it again and re-arms
+  /// this loop, or returns false to decline (breaker open) and the silence
+  /// timer is re-armed without a send.
+  /// (Defined in actors.cpp, whose actors are its only callers.)
+  template <class Find, class OnSilence, class Resend>
+  void retry_on_silence(const RetryPolicy& policy, std::size_t sent,
+                        Find find, OnSilence on_silence, Resend resend);
+
   transport::Transport& tx_;
   simnet::CostModel cost_;
 
@@ -129,18 +149,17 @@ class MerchantActor final : public ProtocolActor {
  public:
   MerchantActor(transport::Transport& tx, simnet::CostModel cost,
                 ecash::Merchant& merchant, ecash::WitnessService& witness,
-                const Directory& directory)
+                const Directory& directory, const RetryPolicy& retry)
       : ProtocolActor(tx, cost),
         merchant_(merchant),
         witness_(witness),
-        directory_(directory) {}
+        directory_(directory),
+        retry_(retry) {}
 
   void on_message(const Message& msg) override;
 
   ecash::Merchant& merchant() { return merchant_; }
   ecash::WitnessService& witness() { return witness_; }
-
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   /// Drains the storefront's deposit queue and submits every transcript to
   /// the broker, retrying with backoff until a receipt (or a definitive
@@ -163,9 +182,8 @@ class MerchantActor final : public ProtocolActor {
   void handle_sign_reply(const Message& msg);
   void handle_deposit_receipt(const Message& msg);
 
+  /// Submits (or resubmits) a pending deposit and arms its retry loop.
   void send_deposit(const ecash::Hash256& coin_hash);
-  void arm_deposit_timer(const ecash::Hash256& coin_hash,
-                         std::size_t attempts_when_armed);
 
   ecash::Merchant& merchant_;
   ecash::WitnessService& witness_;
@@ -184,8 +202,7 @@ class MerchantActor final : public ProtocolActor {
   /// Deposit submissions awaiting broker receipts.
   struct PendingDeposit {
     std::vector<std::uint8_t> payload;  ///< encoded SignedTranscript
-    std::size_t attempts = 0;
-    SimTime prev_backoff = 0;
+    Attempts attempts;
     bool exhausted = false;  ///< retries used up; re-armed by flush_deposits
     obs::TraceContext parent;  ///< the originating payment's context
     obs::TraceContext span;    ///< open "deposit" span (invalid = none yet)
@@ -207,18 +224,12 @@ class ClientActor final : public ProtocolActor {
   ClientActor(transport::Transport& tx, simnet::CostModel cost,
               const group::SchnorrGroup& grp, sig::PublicKey broker_key,
               const ecash::WitnessTable& table, const Directory& directory,
-              std::uint64_t seed);
+              std::uint64_t seed, const RetryPolicy& retry,
+              const PeerHealth::Config& breaker);
 
   void on_message(const Message& msg) override;
 
   ecash::Wallet& wallet() { return wallet_; }
-
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
-  void set_breaker_config(const PeerHealth::Config& config) {
-    health_.configure(config);
-  }
-  PeerHealth& health() { return health_; }
 
   /// Starts a withdrawal; `done` fires with the coin or a refusal.  With
   /// deadline_ms > 0 the two broker RPCs are retried with backoff until the
@@ -253,8 +264,7 @@ class ClientActor final : public ProtocolActor {
     WithdrawCallback done;
     SimTime deadline = 0;  ///< absolute; 0 = retries disabled
     std::uint64_t generation = 0;
-    std::size_t attempts = 1;
-    SimTime prev_backoff = 0;
+    Attempts attempts{.sent = 1};  ///< of last_type, first send included
     /// The exact bytes/type of the last request, for idempotent resends.
     std::string last_type;
     std::vector<std::uint8_t> last_payload;
@@ -264,8 +274,7 @@ class ClientActor final : public ProtocolActor {
   struct WitnessAttempt {
     MerchantId witness;
     NodeId node = 0;
-    std::size_t attempts = 0;  ///< commit_req sends so far (0 = not engaged)
-    SimTime prev_backoff = 0;
+    Attempts attempts;  ///< commit_req sends (sent == 0: not engaged)
     bool committed = false;
     bool refused = false;
     bool exhausted = false;  ///< max_attempts spent without an answer
@@ -280,8 +289,7 @@ class ClientActor final : public ProtocolActor {
     std::vector<WitnessAttempt> plan;
     std::vector<std::uint8_t> commit_payload;      ///< resent verbatim
     std::vector<std::uint8_t> transcript_payload;  ///< non-empty once built
-    std::size_t transcript_attempts = 0;
-    SimTime transcript_prev_backoff = 0;
+    Attempts transcript;  ///< pay.transcript sends
     SimTime started = 0;
     SimTime deadline = 0;
     std::uint64_t generation = 0;  // guards timeout/retry events
@@ -299,30 +307,26 @@ class ClientActor final : public ProtocolActor {
   void finish_payment(PendingPayment& p, PayResult result);
 
   // -- resilient RPC machinery --
-  void arm_withdraw_timer(bool by_session, std::uint64_t key,
-                          std::uint64_t generation, std::size_t attempts);
-  void on_withdraw_silence(bool by_session, std::uint64_t key,
-                           std::uint64_t generation, std::size_t attempts);
-  PendingWithdrawal* find_withdrawal(bool by_session, std::uint64_t key,
-                                     std::uint64_t generation);
-  /// Sends commit_req to plan[index] (first engagement or resend).
+  /// Arms the retry loop for the withdrawal's current broker request, held
+  /// in withdrawal_sessions_ (by_session) or withdrawal_requests_ at `key`.
+  void retry_withdrawal(bool by_session, std::uint64_t key,
+                        std::uint64_t generation, std::size_t sent);
+  /// The payment of `coin_hash` if it is still the one from `generation`.
+  PendingPayment* find_payment(const ecash::Hash256& coin_hash,
+                               std::uint64_t generation);
+  /// health_.allow(node); a refusal is annotated "breaker.skip" on the
+  /// payment's trace.
+  bool admit_witness(const PendingPayment& p, NodeId node);
+  /// Sends commit_req to plan[index] (first engagement or resend) and arms
+  /// its retry loop.
   void send_commit_req(PendingPayment& p, std::size_t index);
-  void arm_commit_timer(const ecash::Hash256& coin_hash,
-                        std::uint64_t generation, std::size_t index,
-                        std::size_t attempts);
-  void on_commit_silence(const ecash::Hash256& coin_hash,
-                         std::uint64_t generation, std::size_t index,
-                         std::size_t attempts);
   /// Engages the next never-engaged witness in the plan, if any.
   void engage_next_witness(PendingPayment& p);
   /// Fails the payment early when fewer than witness_k commitments remain
   /// reachable; `detail` explains the last straw.
   void check_commit_possibility(PendingPayment& p, const std::string& detail);
+  /// Sends (or resends) the transcript and arms its retry loop.
   void send_transcript(PendingPayment& p);
-  void arm_transcript_timer(const ecash::Hash256& coin_hash,
-                            std::uint64_t generation, std::size_t attempts);
-  void on_transcript_silence(const ecash::Hash256& coin_hash,
-                             std::uint64_t generation, std::size_t attempts);
 
   const group::SchnorrGroup& grp_;
   sig::PublicKey broker_key_;

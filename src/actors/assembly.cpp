@@ -17,8 +17,8 @@ Assembly::Assembly(const group::SchnorrGroup& grp, const Spec& spec,
   for (const auto& id : deployment_.merchant_ids()) {
     ecash::MerchantNode& node = deployment_.node(id);
     auto actor = std::make_unique<MerchantActor>(
-        tx_, spec_.cost, *node.merchant, *node.witness, directory_);
-    actor->set_retry_policy(spec_.retry);
+        tx_, spec_.cost, *node.merchant, *node.witness, directory_,
+        spec_.retry);
     directory_.merchants[id] = tx_.attach(*actor);
     merchants_.emplace(id, std::move(actor));
   }
@@ -47,10 +47,9 @@ ClientActor& Assembly::add_client() {
   clients_.push_back(std::make_unique<ClientActor>(
       tx_, spec_.cost, deployment_.grp(), broker.coin_key(),
       broker.current_table(), directory_,
-      spec_.seed * 1000003 + clients_.size() + 1));
+      spec_.seed * 1000003 + clients_.size() + 1, spec_.retry,
+      spec_.breaker));
   tx_.attach(*clients_.back());
-  clients_.back()->set_retry_policy(spec_.retry);
-  clients_.back()->set_breaker_config(spec_.breaker);
   return *clients_.back();
 }
 

@@ -20,13 +20,6 @@ simnet::SimTime RetryPolicy::next_backoff(simnet::SimTime prev_ms,
   return lo + u * (hi - lo);
 }
 
-void PeerHealth::configure(Config config) {
-  sync::MutexLock lock(mu_);
-  config_ = config;
-  peers_.clear();
-  trips_ = 0;
-}
-
 bool PeerHealth::allow(simnet::NodeId peer, simnet::SimTime now) {
   sync::MutexLock lock(mu_);
   auto it = peers_.find(peer);

@@ -3,17 +3,22 @@
 //
 // The actors speak UDP-like request/response over simnet: a silent peer is
 // indistinguishable from a lost message, so every payment-critical RPC
-// (commitment request, transcript hand-off, deposit submission) is wrapped
-// in the same discipline: a per-attempt timeout, exponential backoff with
-// decorrelated jitter between resends, a cap on attempts per peer, and a
-// per-peer circuit breaker so a dead witness stops eating attempts while
-// its replicas carry the payment.  All randomness comes from the caller's
-// bn::Rng, keeping chaos runs seed-reproducible.
+// (withdraw.start and withdraw.challenge when the withdrawal has a
+// deadline, commitment request, transcript hand-off, deposit submission)
+// is wrapped in the same discipline: a per-attempt timeout, exponential
+// backoff with decorrelated jitter between resends, a cap on attempts per
+// peer, and a per-peer circuit breaker so a dead witness stops eating
+// attempts while its replicas carry the payment.  One loop runs it for all
+// of them (ProtocolActor::retry_on_silence in actors.h); each caller only
+// says what silence and a spent budget mean for its request.  All
+// randomness comes from the caller's bn::Rng, keeping chaos runs
+// seed-reproducible.
 //
-// Observability: the actors annotate every retry, failover, timeout and
-// breaker trip onto the enclosing payment span (rpc.retry, rpc.failover,
-// rpc.silence, rpc.exhausted, breaker.trip — see src/obs/trace.h), so a
-// trace shows exactly which resilience machinery fired and when.
+// Observability: the actors annotate every retry, failover, timeout,
+// breaker trip and witness skipped for an open breaker onto the enclosing
+// span (rpc.retry, rpc.failover, rpc.silence, rpc.exhausted, breaker.trip,
+// breaker.skip — see src/obs/trace.h), so a trace shows exactly which
+// resilience machinery fired and when.
 
 #pragma once
 
@@ -45,6 +50,12 @@ struct RetryPolicy {
   simnet::SimTime next_backoff(simnet::SimTime prev_ms, bn::Rng& rng) const;
 };
 
+/// One retried request's progress through its RetryPolicy.
+struct Attempts {
+  std::size_t sent = 0;               ///< sends so far, the first included
+  simnet::SimTime prev_backoff = 0;   ///< last backoff drawn (0: none yet)
+};
+
 /// Per-peer consecutive-failure circuit breaker.
 ///
 /// closed --(failure_threshold consecutive failures)--> open
@@ -65,10 +76,6 @@ class PeerHealth {
 
   PeerHealth() = default;
   explicit PeerHealth(Config config) : config_(config) {}
-
-  /// Replaces the config and resets all breaker state (same semantics as
-  /// constructing a fresh PeerHealth with `config`).
-  void configure(Config config);
 
   /// True if a request to `peer` may be sent now.  While open, admits a
   /// single half-open probe once open_ms has elapsed.

@@ -19,6 +19,8 @@ using actors::ClientActor;
 using actors::PeerHealth;
 using actors::RetryPolicy;
 using actors::SimWorld;
+using simnet::NodeId;
+using simnet::SimTime;
 
 // ---------------------------------------------------------------------------
 // RetryPolicy
@@ -268,6 +270,158 @@ TEST(Resilience, DuplicatedBrokerRepliesAreSuppressed) {
   ASSERT_TRUE(coin.has_value());
   // Both the duplicated offer and the duplicated response were ignored.
   EXPECT_EQ(client.resilience().late_replies_ignored, 2u);
+  EXPECT_EQ(world.broker().coins_issued(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Where each retry loop ends when its peer stays silent
+// ---------------------------------------------------------------------------
+
+ecash::WalletCoin withdraw_coin(SimWorld& world, ClientActor& client) {
+  std::optional<ecash::WalletCoin> coin;
+  client.withdraw(100, [&](ecash::Outcome<ecash::WalletCoin> c) {
+    ASSERT_TRUE(c.ok()) << c.refusal().detail;
+    coin = std::move(c).value();
+  });
+  world.sim().run();
+  EXPECT_TRUE(coin.has_value());
+  return std::move(*coin);
+}
+
+ecash::MerchantId non_witness_merchant(SimWorld& world,
+                                       const ecash::WalletCoin& coin) {
+  for (const auto& id : world.merchant_ids()) {
+    bool is_witness = false;
+    for (const auto& w : coin.coin.witnesses)
+      if (w.merchant == id) is_witness = true;
+    if (!is_witness) return id;
+  }
+  ADD_FAILURE() << "every merchant witnesses the coin";
+  return {};
+}
+
+TEST(RetryLoopEnds, SilentMerchantFailsAfterTheTranscriptBudget) {
+  auto& grp = group::SchnorrGroup::test_256();
+  SimWorld world(grp, net_options());
+  auto& client = world.add_client();
+  auto coin = withdraw_coin(world, client);
+  const auto target = non_witness_merchant(world, coin);
+  // The commit phase talks only to the witness; the merchant is silent
+  // from the transcript on.
+  world.set_merchant_down(target, true);
+  const auto sent_before = world.net().messages_sent(client.id());
+  std::optional<ClientActor::PayResult> result;
+  client.pay(coin, target,
+             [&](ClientActor::PayResult r) { result = std::move(r); });
+  world.sim().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->accepted);
+  EXPECT_EQ(result->error.value_or(""), "merchant unreachable");
+  const std::size_t max_attempts = RetryPolicy{}.max_attempts;
+  // One commit_req, then exactly max_attempts transcript sends.
+  EXPECT_EQ(world.net().messages_sent(client.id()) - sent_before,
+            1 + max_attempts);
+  EXPECT_EQ(client.resilience().retries, max_attempts - 1);
+  EXPECT_EQ(client.resilience().timeouts, 0u);  // not the payment deadline
+}
+
+TEST(RetryLoopEnds, OnlyWitnessDownFailsBeforeTheDeadline) {
+  auto& grp = group::SchnorrGroup::test_256();
+  auto opt = net_options();
+  opt.broker.witness_n = 1;
+  opt.broker.witness_k = 1;
+  opt.trace = true;
+  SimWorld world(grp, opt);
+  auto& client = world.add_client();
+  auto coin = withdraw_coin(world, client);
+  ASSERT_EQ(coin.coin.witnesses.size(), 1u);
+  world.set_merchant_down(coin.coin.witnesses[0].merchant, true);
+  const SimTime timeout_ms = 60'000;
+  std::optional<ClientActor::PayResult> result;
+  client.pay(coin, non_witness_merchant(world, coin),
+             [&](ClientActor::PayResult r) { result = std::move(r); },
+             timeout_ms);
+  world.sim().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->accepted);
+  EXPECT_EQ(result->error.value_or(""), "witness unreachable");
+  EXPECT_LT(result->elapsed_ms, timeout_ms);
+  EXPECT_EQ(client.resilience().timeouts, 0u);
+  const std::string trace = world.trace_sink().trace_jsonl(result->trace_id);
+  EXPECT_NE(trace.find("\"name\":\"rpc.exhausted\""), std::string::npos)
+      << trace;
+}
+
+TEST(RetryLoopEnds, WitnessSkippedForAnOpenBreakerIsOnThePaymentTrace) {
+  auto& grp = group::SchnorrGroup::test_256();
+  auto opt = net_options();
+  opt.trace = true;
+  SimWorld world(grp, opt);
+  auto& client = world.add_client();
+  auto coin = withdraw_coin(world, client);
+  ASSERT_EQ(coin.coin.witnesses.size(), 1u);
+  world.set_merchant_down(coin.coin.witnesses[0].merchant, true);
+  const auto target = non_witness_merchant(world, coin);
+  // The first payment's silent attempts trip the witness's breaker; a
+  // second payment started while it is open sends nothing and idles to
+  // its deadline, and its own trace says why.
+  std::uint64_t sent_before_second = 0;
+  std::optional<ClientActor::PayResult> second;
+  client.pay(coin, target, [&](ClientActor::PayResult first) {
+    EXPECT_EQ(first.error.value_or(""), "witness unreachable");
+    EXPECT_EQ(client.resilience().breaker_trips, 1u);
+    sent_before_second = world.net().messages_sent(client.id());
+    client.pay(coin, target,
+               [&](ClientActor::PayResult r) { second = std::move(r); },
+               /*timeout_ms=*/1'000);
+  });
+  world.sim().run();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->error.value_or(""), "timeout");
+  EXPECT_EQ(world.net().messages_sent(client.id()), sent_before_second);
+  const std::string trace = world.trace_sink().trace_jsonl(second->trace_id);
+  EXPECT_NE(trace.find("\"name\":\"breaker.skip\""), std::string::npos)
+      << trace;
+}
+
+TEST(RetryLoopEnds, BrokerBreakerDefersWithdrawResendsUntilItHeals) {
+  auto& grp = group::SchnorrGroup::test_256();
+  SimWorld world(grp, net_options());
+  auto& client = world.add_client();
+  const NodeId broker = world.directory().broker;
+  const RetryPolicy policy;
+  const PeerHealth::Config breaker;
+  // Three silent attempts trip the breaker: 3 timeouts plus two backoffs,
+  // the first exactly the base and the second at most 3x it.
+  const SimTime trip_by = 3 * policy.attempt_timeout_ms +
+                          4 * policy.backoff_base_ms;
+  const SimTime trip_after = 3 * policy.attempt_timeout_ms +
+                             2 * policy.backoff_base_ms;
+  world.net().set_down(broker, true);
+  world.sim().schedule(trip_by + 1'000,
+                       [&] { world.net().set_down(broker, false); });
+  // The link is healed, but the breaker is still open: nothing was sent
+  // after the three silent attempts.
+  std::uint64_t sent_while_open = 0;
+  world.sim().schedule(trip_after + breaker.open_ms - 1, [&] {
+    sent_while_open = world.net().messages_sent(client.id());
+  });
+  std::optional<ecash::Outcome<ecash::WalletCoin>> coin;
+  SimTime done_at = 0;
+  client.withdraw(
+      100,
+      [&](ecash::Outcome<ecash::WalletCoin> c) {
+        coin = std::move(c);
+        done_at = world.sim().now();
+      },
+      /*deadline_ms=*/60'000);
+  world.sim().run();
+  ASSERT_TRUE(coin.has_value());
+  ASSERT_TRUE(coin->ok()) << coin->refusal().detail;
+  EXPECT_EQ(client.resilience().breaker_trips, 1u);
+  EXPECT_EQ(sent_while_open, 3u);
+  EXPECT_GE(done_at, trip_after + breaker.open_ms);
+  EXPECT_EQ(client.resilience().retries, policy.max_attempts - 1);
   EXPECT_EQ(world.broker().coins_issued(), 1u);
 }
 
