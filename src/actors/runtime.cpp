@@ -31,7 +31,7 @@ NodeRuntime::NodeRuntime(const group::SchnorrGroup& grp, Options options)
     };
   });
 
-  auto net_options = options_.net;
+  transport::TcpNet::Options net_options;
   net_options.worker_threads = options_.worker_threads;
   net_options.seed = options_.seed;
   net_options.metrics = &registry_;

@@ -16,7 +16,10 @@
 //     real time, and the simulated-cost model would just add sleeps.
 //   * Journaling is opt-in (Options::durable_stores), and there is no
 //     FaultPlan: crash/restart is modeled at the transport
-//     (TcpNet::set_down) — reconnection is the thing under test.
+//     (TcpNet::set_down).  TcpNet never retries, so the actors' one
+//     retry loop is what carries a payment across the outage.
+//   * Transport settings are TcpNet's defaults; only worker_threads,
+//     seed and the obs stack below are passed down.
 //
 // This header is det_lint-scoped (src/actors): it reads no clock and no
 // entropy of its own; all time flows through the Transport.
@@ -54,11 +57,6 @@ class NodeRuntime {
     /// Actor-level RPC retry discipline (timers on the wall clock now).
     RetryPolicy retry;
     PeerHealth::Config breaker;
-    /// Transport knobs (queue caps, reconnect pacing, frame limit).
-    /// worker_threads and seed above override the ones in here, and the
-    /// runtime's own registry/tracer/flight-recorder are always wired in.
-    transport::TcpNet::Options net;
-
     /// Trace ring capacity (spans + events retained for /tracez).
     std::size_t trace_capacity = 1 << 16;
     /// Flight-recorder ring capacity (crash breadcrumbs).
@@ -123,7 +121,8 @@ class NodeRuntime {
   void stop();
 
   /// Takes a merchant machine down / up at the transport (listener closed,
-  /// connections severed — senders enter the reconnect path).
+  /// connections severed and their queued frames dropped — the actors'
+  /// resends redial once it is back).
   void set_merchant_down(const MerchantId& id, bool down);
 
   // -- blocking drivers ----------------------------------------------------

@@ -12,12 +12,12 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "crypto/chacha.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "wire/codec.h"
@@ -105,14 +105,12 @@ struct TcpNet::OutConn {
   obs::Gauge* queue_gauge = nullptr;
 
   // io-thread-only.
-  enum class State { kIdle, kConnecting, kEstablished, kBackoff };
+  enum class State { kIdle, kConnecting, kEstablished };
   State state = State::kIdle;
   int fd = -1;
   bool want_write = false;
   std::vector<std::uint8_t> io_buf;  ///< staged bytes being written
   std::size_t io_off = 0;
-  simnet::SimTime prev_backoff = 0;
-  std::size_t attempts = 0;
 };
 
 struct TcpNet::InConn {
@@ -130,7 +128,6 @@ struct TcpNet::Timer {
   double due_ms = 0;
   std::uint64_t seq = 0;
   NodeId node = 0;
-  bool io_internal = false;  ///< run on the io thread (reconnect pacing)
   std::function<void()> fn;
 };
 
@@ -150,7 +147,6 @@ struct TcpNet::AtomicStats {
   std::atomic<std::uint64_t> connects{0};
   std::atomic<std::uint64_t> connect_failures{0};
   std::atomic<std::uint64_t> disconnects{0};
-  std::atomic<std::uint64_t> breaker_deferrals{0};
   std::atomic<std::uint64_t> decode_errors{0};
   std::atomic<std::uint64_t> reads_paused{0};
   std::atomic<std::uint64_t> timers_fired{0};
@@ -168,8 +164,6 @@ struct TcpNet::AtomicStats {
 TcpNet::TcpNet(Options options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      health_(options.breaker),
-      io_rng_(options.seed ^ 0x74637069'6f726e67ULL),  // "tcpiorng"
       stats_(std::make_unique<AtomicStats>()) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw_errno("epoll_create1");
@@ -225,7 +219,6 @@ void TcpNet::setup_observability() {
         counter("transport_connects_total", a.connects),
         counter("transport_connect_failures_total", a.connect_failures),
         counter("transport_disconnects_total", a.disconnects),
-        counter("transport_breaker_deferrals_total", a.breaker_deferrals),
         counter("transport_decode_errors_total", a.decode_errors),
         counter("transport_reads_paused_total", a.reads_paused),
         counter("transport_timers_fired_total", a.timers_fired),
@@ -429,7 +422,7 @@ void TcpNet::schedule_on(NodeId node, SimTime delay_ms,
   {
     sync::MutexLock lock(timer_mu_);
     timers_.push_back(Timer{now() + std::max<SimTime>(0, delay_ms),
-                            timer_seq_++, node, false, std::move(fn)});
+                            timer_seq_++, node, std::move(fn)});
     std::push_heap(timers_.begin(), timers_.end(), timer_later);
   }
   io_wake();
@@ -468,7 +461,6 @@ TcpNet::Stats TcpNet::stats() const {
   s.connects = a.connects.load(std::memory_order_relaxed);
   s.connect_failures = a.connect_failures.load(std::memory_order_relaxed);
   s.disconnects = a.disconnects.load(std::memory_order_relaxed);
-  s.breaker_deferrals = a.breaker_deferrals.load(std::memory_order_relaxed);
   s.decode_errors = a.decode_errors.load(std::memory_order_relaxed);
   s.reads_paused = a.reads_paused.load(std::memory_order_relaxed);
   s.timers_fired = a.timers_fired.load(std::memory_order_relaxed);
@@ -566,11 +558,7 @@ void TcpNet::fire_due_timers() {
     // How late the heap ran this timer: epoll wakeup slop + io-loop load.
     if (timer_delay_ms_)
       timer_delay_ms_->record(std::max(0.0, fired_at - t.due_ms));
-    if (t.io_internal) {
-      t.fn();  // reconnect pacing: runs right here on the io thread
-    } else {
-      dispatch(t.node, std::move(t.fn));
-    }
+    dispatch(t.node, std::move(t.fn));
   }
 }
 
@@ -671,8 +659,7 @@ void TcpNet::service_dirty_conns() {
         flush_writes(*c);
         break;
       case OutConn::State::kConnecting:
-      case OutConn::State::kBackoff:
-        break;  // in-flight machinery will pick the queue up
+        break;  // conn_established flushes the queue
     }
   }
 }
@@ -681,22 +668,6 @@ void TcpNet::try_dial(OutConn& conn) {
   {
     sync::MutexLock lock(mu_);
     if (conn.queue.empty() && conn.io_buf.empty()) return;
-  }
-  if (!health_.allow(conn.to, now())) {
-    // Breaker open: check back when it may admit a half-open probe.
-    stats_->breaker_deferrals.fetch_add(1, std::memory_order_relaxed);
-    conn.state = OutConn::State::kBackoff;
-    const SimTime delay =
-        options_.reconnect.next_backoff(conn.prev_backoff, io_rng_);
-    conn.prev_backoff = delay;
-    sync::MutexLock lock(timer_mu_);
-    timers_.push_back(Timer{now() + delay, timer_seq_++, conn.to, true,
-                            [this, &conn] {
-                              conn.state = OutConn::State::kIdle;
-                              try_dial(conn);
-                            }});
-    std::push_heap(timers_.begin(), timers_.end(), timer_later);
-    return;
   }
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -739,12 +710,9 @@ void TcpNet::on_connect_writable(OutConn& conn) {
 void TcpNet::conn_established(OutConn& conn) {
   conn.state = OutConn::State::kEstablished;
   conn.want_write = false;
-  conn.prev_backoff = 0;
-  conn.attempts = 0;
   stats_->connects.fetch_add(1, std::memory_order_relaxed);
   flight_note("net.connect",
               std::to_string(conn.from) + "->" + std::to_string(conn.to));
-  health_.record_success(conn.to);
   epoll_event ev{};
   ev.events = EPOLLIN;  // EOF watch; flush_writes arms EPOLLOUT as needed
   ev.data.fd = conn.fd;
@@ -753,6 +721,17 @@ void TcpNet::conn_established(OutConn& conn) {
 }
 
 void TcpNet::conn_failed(OutConn& conn, bool was_established) {
+  if (was_established) {
+    stats_->disconnects.fetch_add(1, std::memory_order_relaxed);
+    flight_note("net.disconnect",
+                std::to_string(conn.from) + "->" + std::to_string(conn.to));
+  } else {
+    stats_->connect_failures.fetch_add(1, std::memory_order_relaxed);
+  }
+  drop_conn(conn);
+}
+
+void TcpNet::drop_conn(OutConn& conn) {
   if (conn.fd >= 0) {
     out_fds_.erase(conn.fd);
     ::close(conn.fd);
@@ -763,51 +742,28 @@ void TcpNet::conn_failed(OutConn& conn, bool was_established) {
   conn.io_buf.clear();
   conn.io_off = 0;
   conn.want_write = false;
-  if (was_established) {
-    stats_->disconnects.fetch_add(1, std::memory_order_relaxed);
-    flight_note("net.disconnect",
-                std::to_string(conn.from) + "->" + std::to_string(conn.to));
-  } else {
-    stats_->connect_failures.fetch_add(1, std::memory_order_relaxed);
+  conn.state = OutConn::State::kIdle;
+  // The transport never retries: shed the queue (the actors' retry loop
+  // owns end-to-end delivery), and the next send() dials afresh.
+  std::size_t flushed = 0;
+  std::size_t flushed_bytes = 0;
+  {
+    sync::MutexLock lock(mu_);
+    flushed = conn.queue.size();
+    flushed_bytes = conn.queued_bytes;
+    conn.queue.clear();
+    conn.queued_bytes = 0;
+    if (conn.queue_gauge) conn.queue_gauge->set(0);
   }
-  health_.record_failure(conn.to, now());
-  conn.attempts += 1;
-  if (conn.attempts >= options_.reconnect.max_attempts) {
-    // Attempt budget exhausted for this outage: shed the queue (the actors'
-    // retry layer owns end-to-end delivery) and go quiet until a new send.
-    std::size_t flushed = 0;
-    std::size_t flushed_bytes = 0;
-    {
-      sync::MutexLock lock(mu_);
-      flushed = conn.queue.size();
-      flushed_bytes = conn.queued_bytes;
-      conn.queue.clear();
-      conn.queued_bytes = 0;
-      if (conn.queue_gauge) conn.queue_gauge->set(0);
-    }
-    stats_->queued_bytes_now.fetch_sub(flushed_bytes,
-                                       std::memory_order_relaxed);
-    stats_->dropped_on_disconnect.fetch_add(flushed,
-                                            std::memory_order_relaxed);
-    flight_note("net.queue_shed",
-                std::to_string(conn.from) + "->" + std::to_string(conn.to) +
-                    " frames=" + std::to_string(flushed));
-    conn.state = OutConn::State::kIdle;
-    conn.attempts = 0;
-    conn.prev_backoff = 0;
-    return;
-  }
-  conn.state = OutConn::State::kBackoff;
-  const SimTime delay =
-      options_.reconnect.next_backoff(conn.prev_backoff, io_rng_);
-  conn.prev_backoff = delay;
-  sync::MutexLock lock(timer_mu_);
-  timers_.push_back(Timer{now() + delay, timer_seq_++, conn.to, true,
-                          [this, &conn] {
-                            conn.state = OutConn::State::kIdle;
-                            try_dial(conn);
-                          }});
-  std::push_heap(timers_.begin(), timers_.end(), timer_later);
+  if (flushed == 0) return;
+  stats_->queued_bytes_now.fetch_sub(flushed_bytes, std::memory_order_relaxed);
+  if (queued_bytes_gauge_)
+    queued_bytes_gauge_->set(static_cast<double>(
+        stats_->queued_bytes_now.load(std::memory_order_relaxed)));
+  stats_->dropped_on_disconnect.fetch_add(flushed, std::memory_order_relaxed);
+  flight_note("net.queue_shed", std::to_string(conn.from) + "->" +
+                                    std::to_string(conn.to) +
+                                    " frames=" + std::to_string(flushed));
 }
 
 void TcpNet::flush_writes(OutConn& conn) {
@@ -1028,36 +984,10 @@ void TcpNet::apply_down(NodeId node, bool down) {
     }
     for (OutConn* conn : touching) {
       if (conn->from == node) {
-        // The "crashed" endpoint: silently lose its socket and queue.
-        if (conn->fd >= 0) {
-          out_fds_.erase(conn->fd);
-          ::close(conn->fd);
-          conn->fd = -1;
-        }
-        conn->io_buf.clear();
-        conn->io_off = 0;
-        conn->want_write = false;
-        conn->state = OutConn::State::kIdle;
-        conn->attempts = 0;
-        conn->prev_backoff = 0;
-        std::size_t flushed = 0;
-        std::size_t flushed_bytes = 0;
-        {
-          sync::MutexLock lock(mu_);
-          flushed = conn->queue.size();
-          flushed_bytes = conn->queued_bytes;
-          conn->queue.clear();
-          conn->queued_bytes = 0;
-          if (conn->queue_gauge) conn->queue_gauge->set(0);
-        }
-        stats_->queued_bytes_now.fetch_sub(flushed_bytes,
-                                           std::memory_order_relaxed);
-        stats_->dropped_on_disconnect.fetch_add(flushed,
-                                                std::memory_order_relaxed);
-      } else if (conn->state == OutConn::State::kConnecting ||
-                 conn->state == OutConn::State::kEstablished) {
-        // Peers talking to the crashed node: sever now so they enter the
-        // reconnect path instead of waiting for a kernel timeout.
+        drop_conn(*conn);  // the "crashed" endpoint loses socket and queue
+      } else if (conn->state != OutConn::State::kIdle) {
+        // Peers talking to the crashed node: sever now, so their next
+        // send dials afresh instead of waiting for a kernel timeout.
         conn_failed(*conn, conn->state == OutConn::State::kEstablished);
       }
     }

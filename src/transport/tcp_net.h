@@ -22,9 +22,11 @@
 // Reliability model is deliberately UDP-like, matching what the actors'
 // retry/failover discipline was built for: a send may be silently lost
 // when the peer is down, the queue cap is hit, or a connection dies with
-// bytes in flight.  The transport's job is to *reconnect* (paced by the
-// same RetryPolicy backoff the actors use, gated by a per-peer PeerHealth
-// breaker) and to keep memory bounded, not to guarantee delivery.
+// bytes in flight.  The transport never retries: a failed dial or a lost
+// connection closes the socket and drops that connection's queued frames
+// (dropped_on_disconnect), and the next send() to the peer dials again at
+// once.  Backoff, attempt budgets and breakers live only in the actors,
+// whose resends therefore also pace the redials.
 //
 // Backpressure, both directions:
 //   * outbound: each directed connection carries at most
@@ -49,8 +51,6 @@
 #include <thread>
 #include <vector>
 
-#include "actors/retry.h"
-#include "crypto/chacha.h"
 #include "sync/annotated.h"
 #include "transport/transport.h"
 #include "verify/worker_pool.h"
@@ -76,7 +76,8 @@ class TcpNet final : public Transport {
   struct Options {
     /// Strand-executor threads (the knob the throughput bench sweeps).
     std::size_t worker_threads = 1;
-    /// Seed for the per-endpoint RNG streams (retry jitter, cost models).
+    /// Seed for the per-endpoint RNG streams that rng() hands the actors
+    /// (their retry jitter, cost models); the transport draws none itself.
     std::uint64_t seed = 1;
     std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
     /// Outbound per-connection queue cap; sends past it are dropped.
@@ -84,10 +85,6 @@ class TcpNet final : public Transport {
     /// Inbound flow control thresholds (strand mailbox depth, in tasks).
     std::size_t mailbox_high_watermark = 1024;
     std::size_t mailbox_low_watermark = 256;
-    /// Reconnect pacing (decorrelated-jitter backoff, attempt budget per
-    /// outage) and the per-peer connect breaker.
-    actors::RetryPolicy reconnect;
-    actors::PeerHealth::Config breaker;
 
     /// Observability seams (all optional, all borrowed — each must
     /// outlive the TcpNet; the registry additionally must not be scraped
@@ -112,7 +109,6 @@ class TcpNet final : public Transport {
     std::uint64_t connects = 0;           ///< connections established
     std::uint64_t connect_failures = 0;
     std::uint64_t disconnects = 0;        ///< established connections lost
-    std::uint64_t breaker_deferrals = 0;  ///< dials deferred by an open breaker
     std::uint64_t decode_errors = 0;      ///< framing/envelope violations
     std::uint64_t reads_paused = 0;       ///< inbound flow-control pauses
     std::uint64_t timers_fired = 0;
@@ -159,8 +155,9 @@ class TcpNet final : public Transport {
   std::size_t worker_threads() const { return options_.worker_threads; }
 
   /// Crash-models a peer: down closes its listen socket and severs every
-  /// connection touching it (senders see resets and enter the reconnect
-  /// path); up re-binds the same port.  Safe to call while running.
+  /// connection touching it (their queued frames are dropped; a sender's
+  /// next send() dials again); up re-binds the same port.  Safe to call
+  /// while running.
   void set_down(NodeId node, bool down);
 
   Stats stats() const;
@@ -191,6 +188,7 @@ class TcpNet final : public Transport {
   void on_connect_writable(OutConn& conn);
   void conn_established(OutConn& conn);
   void conn_failed(OutConn& conn, bool was_established);
+  void drop_conn(OutConn& conn);  // close, shed the queue, back to kIdle
   void flush_writes(OutConn& conn);
   void on_accept(Endpoint& ep);
   void on_readable(InConn& conn);
@@ -225,9 +223,6 @@ class TcpNet final : public Transport {
                                 sync::level::kTransportTimer};
   std::vector<Timer> timers_ P2P_GUARDED_BY(timer_mu_);  // min-heap
   std::uint64_t timer_seq_ P2P_GUARDED_BY(timer_mu_) = 0;
-
-  actors::PeerHealth health_;          ///< connect breaker, keyed by dest
-  crypto::ChaChaRng io_rng_;           ///< io-thread-only: backoff jitter
 
   // io-thread-only fd bookkeeping (attach() touches it too, but strictly
   // before the io thread exists).

@@ -10,14 +10,16 @@
 //       the simulator, so a seeded run (chaos schedule and trace
 //       included) replays exactly; and
 //   (b) TcpNet (tcp_net.h) — a real epoll-based TCP io-loop with
-//       length-prefixed framing, per-peer outbound queues, reconnection,
+//       length-prefixed framing, per-peer outbound queues, dial-on-send,
 //       and a worker-thread pool delivering messages on per-endpoint
 //       strands — real payments/sec on real cores.
 //
 // Contract every implementation must honor (the actors are written
 // against it):
 //   * send() is fire-and-forget and may silently lose messages — like UDP
-//     to a dead host.  The actors' retry discipline supplies reliability.
+//     to a dead host.  No implementation retries underneath: the actors'
+//     one retry loop supplies reliability, and its resends are the only
+//     redials a down peer sees.
 //   * All callbacks for one endpoint — on_message deliveries, timers from
 //     schedule_on(), tasks from post() — are mutually serialized (a
 //     "strand").  Actor state therefore needs no locking of its own.

@@ -1,4 +1,4 @@
-// Loopback TCP transport: real sockets, framing, reconnect and flow
+// Loopback TCP transport: real sockets, framing, dial-on-send and flow
 // control.  Labeled "transport" so the TSan CI lane runs the whole suite
 // under the race detector — the io thread, worker strands and external
 // senders all touch the same TcpNet.
@@ -95,15 +95,10 @@ class SlowReader : public simnet::Node {
   std::atomic<std::size_t> count_{0};
 };
 
-/// Reconnect pacing tightened so outage tests converge in milliseconds.
+/// Two strand workers, so deliveries to different endpoints overlap.
 TcpNet::Options fast_options() {
   TcpNet::Options options;
   options.worker_threads = 2;
-  options.reconnect.backoff_base_ms = 10;
-  options.reconnect.backoff_cap_ms = 50;
-  options.reconnect.max_attempts = 200;
-  options.breaker.failure_threshold = 3;
-  options.breaker.open_ms = 100;
   return options;
 }
 
@@ -272,7 +267,7 @@ TEST(TcpTransport, ReconnectAfterPeerRestart) {
   const std::uint16_t port_before = net.port(echo_id);
 
   net.set_down(echo_id, true);
-  // Sends into the outage are absorbed (queued or dropped), never fatal.
+  // Sends into the outage are dropped with their failed dial, never fatal.
   for (int i = 0; i < 20; ++i) {
     net.send(make_msg(client_id, echo_id, "ping", {2}));
     std::this_thread::sleep_for(5ms);
@@ -290,6 +285,43 @@ TEST(TcpTransport, ReconnectAfterPeerRestart) {
   auto stats = net.stats();
   EXPECT_GT(stats.disconnects, 0u);
   EXPECT_GE(stats.connects, 2u);  // original + at least one reconnect
+  net.stop();
+}
+
+// The transport never retries underneath the actors: a frame sent into an
+// outage is dropped with its failed dial, and the first send after the
+// peer is back dials at once (no transport backoff or breaker hides it).
+TEST(TcpTransport, PeerBackFromAnOutageIsDialedOnTheNextSend) {
+  TcpNet net(TcpNet::Options{});
+  Recorder peer;
+  Recorder sender;
+  NodeId peer_id = net.attach(peer);
+  NodeId sender_id = net.attach(sender);
+  net.start();
+
+  net.send(make_msg(sender_id, peer_id, "hello", {1}));
+  ASSERT_TRUE(wait_until([&] { return peer.count() == 1; }));
+
+  net.set_down(peer_id, true);
+  const std::vector<std::uint8_t> outage = {0xde, 0xad, 0xbe, 0xef};
+  net.send(make_msg(sender_id, peer_id, "outage", outage));
+  std::this_thread::sleep_for(1500ms);
+  EXPECT_EQ(net.stats().dropped_on_disconnect, 1u);
+
+  net.set_down(peer_id, false);
+  const std::vector<std::uint8_t> back = {0xb4, 0xc4};
+  net.send(make_msg(sender_id, peer_id, "back", back));
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (const auto& msg : peer.messages())
+          if (msg.payload == back) return true;
+        return false;
+      },
+      2'000ms))
+      << "the first send after the outage was not delivered within 2 s";
+  for (const auto& msg : peer.messages())
+    EXPECT_NE(msg.payload, outage) << "the outage frame was held, not dropped";
+  EXPECT_EQ(net.stats().timers_fired, 0u);
   net.stop();
 }
 

@@ -133,11 +133,6 @@ class TcpHarness : public Harness {
     opt.retry.attempt_timeout_ms = 500;
     opt.retry.max_attempts = 2;
     opt.breaker.open_ms = 500;
-    // Tight reconnect pacing so the restart scenario converges quickly.
-    opt.net.reconnect.backoff_base_ms = 10;
-    opt.net.reconnect.backoff_cap_ms = 50;
-    opt.net.reconnect.max_attempts = 200;
-    opt.net.breaker.open_ms = 100;
     // CI sets P2PCASH_FLIGHT_ARTIFACT so a crash in a transport test dumps
     // the breadcrumb ring to an uploadable file.  Tests sit outside the
     // det_lint scope, so reading the environment HERE and passing it down

@@ -5,7 +5,10 @@
 #   1. ct_lint.py  — secret-hygiene check (self-test, then the tree);
 #   2. det_lint.py — determinism check for simnet-reachable + obs/sync
 #                    code (self-test, then the tree);
-#   3. clang-tidy over first-party sources when it is available; otherwise
+#   3. layering   — src/transport sits below src/actors and includes
+#                    none of its headers (the transport never retries;
+#                    the actors' retry loop is the only one);
+#   4. clang-tidy over first-party sources when it is available; otherwise
 #      a strict-warning build (-DP2PCASH_WERROR=ON), which promotes the
 #      escalated warning set (-Wconversion -Wshadow -Wold-style-cast ...)
 #      to errors under plain GCC/Clang.  When the compiler is clang, that
@@ -31,6 +34,12 @@ python3 tools/ct_lint.py
 echo "== lint.sh: det_lint.py (seed-replay determinism)"
 python3 tools/det_lint.py --self-test
 python3 tools/det_lint.py
+
+echo "== lint.sh: layering (src/transport includes nothing from actors/)"
+if grep -rnE '#[[:space:]]*include[[:space:]]*[<"]actors/' src/transport; then
+  echo "lint.sh: src/transport must not include actors/ headers" >&2
+  exit 1
+fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== lint.sh: clang-tidy $(clang-tidy --version | grep -o 'version [0-9.]*') over src/ tests/ bench/ examples/"
