@@ -4,14 +4,18 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 namespace p2pcash::ecash {
 
 using bn::BigInt;
 
 namespace {
-// Sub-delta tags inside one journaled record (see broker.h: one record
-// per mutating entry point, applied atomically on replay).
+constexpr std::string_view kCheckpointMagic = "p2pcash/broker-snapshot/v2";
+// Sub-record tags, shared by journaled deltas (one record per mutating
+// entry point, applied atomically on replay) and checkpoints, whose
+// records are closed by kCheckpointEnd.
+constexpr std::uint8_t kCheckpointEnd = 0;
 constexpr std::uint8_t kDeltaAccount = 1;
 constexpr std::uint8_t kDeltaTable = 2;
 constexpr std::uint8_t kDeltaCounters = 3;
@@ -564,125 +568,41 @@ std::vector<std::uint8_t> Broker::snapshot_state() const {
 
 std::vector<std::uint8_t> Broker::snapshot_locked() const {
   wire::Writer w;
-  w.put_string("p2pcash/broker-snapshot/v1");
+  w.put_string(kCheckpointMagic);
   w.put_bigint(signer_.secret_x());
-  w.put_u64(next_session_);
-  w.put_u64(coins_issued_);
-  w.put_i64(fiat_collected_);
-  w.put_i64(fiat_paid_out_);
-  w.put_u32(static_cast<std::uint32_t>(accounts_.size()));
-  for (const auto& [id, account] : accounts_) {
-    w.put_string(id);
-    w.put_bigint(account.key.y);
-    w.put_u32(account.deposit_remaining);
-    w.put_i64(account.balance);
-    w.put_u64(account.weight);
-    w.put_u8(account.flagged ? 1 : 0);
-  }
-  w.put_u32(static_cast<std::uint32_t>(tables_.size()));
-  for (const auto& table : tables_) table.encode(w);
-  w.put_u32(static_cast<std::uint32_t>(deposits_.size()));
-  for (const auto& [hash, record] : deposits_) {
-    w.put_bytes(hash);
-    record.st.encode(w);
-    w.put_string(record.depositor);
-  }
-  w.put_u32(static_cast<std::uint32_t>(renewals_.size()));
-  for (const auto& [hash, record] : renewals_) {
-    w.put_bytes(hash);
-    record.coin.encode(w);
-    w.put_bigint(record.proof.r1);
-    w.put_bigint(record.proof.r2);
-    w.put_i64(record.datetime);
-  }
-  w.put_u32(static_cast<std::uint32_t>(witness_faults_.size()));
-  for (const auto& fault : witness_faults_) {
-    w.put_bytes(fault.coin_hash);
-    fault.first.encode(w);
-    fault.second.encode(w);
-    w.put_string(fault.witness);
-  }
-  w.put_u32(static_cast<std::uint32_t>(renewal_fraud_proofs_.size()));
-  for (const auto& proof : renewal_fraud_proofs_) proof.encode(w);
+  delta_counters(w);
+  for (const auto& [id, account] : accounts_) delta_account(w, id);
+  for (const auto& table : tables_) delta_table(w, table);
+  for (const auto& [hash, record] : deposits_) delta_deposit(w, hash);
+  for (const auto& [hash, record] : renewals_) delta_renewal(w, hash);
+  for (const auto& fault : witness_faults_) delta_witness_fault(w, fault);
+  for (const auto& proof : renewal_fraud_proofs_) delta_fraud_proof(w, proof);
+  w.put_u8(kCheckpointEnd);
   return w.take();
 }
 
 void Broker::restore_state(std::span<const std::uint8_t> snapshot) {
+  Durable state = decode_checkpoint(snapshot);
   sync::MutexLock lock(mu_);
-  restore_locked(snapshot);
+  install(std::move(state));
   // An externally supplied snapshot supersedes the journal: compact so the
   // store and the in-memory state agree again.
   if (store_ != nullptr) store_->checkpoint(snapshot_locked());
 }
 
-void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
-  wire::Reader r(snapshot);
-  if (r.get_string() != "p2pcash/broker-snapshot/v1")
-    throw wire::DecodeError("broker snapshot: bad magic");
-  BigInt secret = r.get_bigint();
-  std::uint64_t next_session = r.get_u64();
-  std::uint64_t coins_issued = r.get_u64();
-  std::int64_t fiat_collected = r.get_i64();
-  std::int64_t fiat_paid_out = r.get_i64();
-  std::map<MerchantId, MerchantAccount> accounts;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    MerchantId id = r.get_string();
-    MerchantAccount account;
-    account.key.y = r.get_bigint();
-    account.deposit_remaining = r.get_u32();
-    account.balance = r.get_i64();
-    account.weight = r.get_u64();
-    account.flagged = r.get_u8() != 0;
-    accounts.emplace(std::move(id), std::move(account));
-  }
-  std::deque<WitnessTable> tables;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
-    tables.push_back(WitnessTable::decode(r));
-  std::map<Hash256, DepositRecord> deposits;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    DepositRecord record;
-    record.st = SignedTranscript::decode(r);
-    record.depositor = r.get_string();
-    deposits.emplace(hash, std::move(record));
-  }
-  std::map<Hash256, RenewalRecord> renewals;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    RenewalRecord record;
-    record.coin = Coin::decode(r);
-    record.proof.r1 = r.get_bigint();
-    record.proof.r2 = r.get_bigint();
-    record.datetime = r.get_i64();
-    renewals.emplace(hash, std::move(record));
-  }
-  std::vector<WitnessFaultProof> faults;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    WitnessFaultProof fault;
-    fault.coin_hash = read_hash256(r);
-    fault.first = SignedTranscript::decode(r);
-    fault.second = SignedTranscript::decode(r);
-    fault.witness = r.get_string();
-    faults.push_back(std::move(fault));
-  }
-  std::vector<DoubleSpendProof> fraud;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
-    fraud.push_back(DoubleSpendProof::decode(r));
-  r.expect_end();
-
-  // Parsed completely: commit (keys first, then ledgers).
-  signer_ = blindsig::BlindSigner(grp_, secret);
-  identity_ = sig::KeyPair::from_secret(grp_, secret);
-  next_session_ = next_session;
-  coins_issued_ = coins_issued;
-  fiat_collected_ = fiat_collected;
-  fiat_paid_out_ = fiat_paid_out;
-  accounts_ = std::move(accounts);
-  tables_ = std::move(tables);
-  deposits_ = std::move(deposits);
-  renewals_ = std::move(renewals);
-  witness_faults_ = std::move(faults);
-  renewal_fraud_proofs_ = std::move(fraud);
+void Broker::install(Durable&& state) {
+  signer_ = blindsig::BlindSigner(grp_, state.secret);
+  identity_ = sig::KeyPair::from_secret(grp_, state.secret);
+  next_session_ = state.next_session;
+  coins_issued_ = state.coins_issued;
+  fiat_collected_ = state.fiat_collected;
+  fiat_paid_out_ = state.fiat_paid_out;
+  accounts_ = std::move(state.accounts);
+  tables_ = std::move(state.tables);
+  deposits_ = std::move(state.deposits);
+  renewals_ = std::move(state.renewals);
+  witness_faults_ = std::move(state.witness_faults);
+  renewal_fraud_proofs_ = std::move(state.renewal_fraud_proofs);
   withdrawal_sessions_.clear();
   completed_withdrawals_.clear();
   renewal_sessions_.clear();
@@ -751,82 +671,94 @@ void Broker::delta_fraud_proof(wire::Writer& w,
   proof.encode(w);
 }
 
-void Broker::apply_delta(std::span<const std::uint8_t> delta) {
-  wire::Reader r(delta);
-  while (!r.at_end()) {
-    switch (r.get_u8()) {
-      case kDeltaAccount: {
-        MerchantId id = r.get_string();
-        MerchantAccount a;
-        a.key.y = r.get_bigint();
-        a.deposit_remaining = r.get_u32();
-        a.balance = r.get_i64();
-        a.weight = r.get_u64();
-        a.flagged = r.get_u8() != 0;
-        accounts_[id] = std::move(a);
-        break;
-      }
-      case kDeltaTable: {
-        WitnessTable table = WitnessTable::decode(r);
-        // Tables are append-only in version order; a replayed record for a
-        // version we already hold (checkpoint raced ahead) is last-wins.
-        if (table.version() == tables_.size() + 1)
-          tables_.push_back(std::move(table));
-        else if (table.version() >= 1 && table.version() <= tables_.size())
-          tables_[table.version() - 1] = std::move(table);
-        else
-          throw wire::DecodeError("broker delta: table version gap");
-        break;
-      }
-      case kDeltaCounters: {
-        next_session_ = r.get_u64();
-        coins_issued_ = r.get_u64();
-        fiat_collected_ = r.get_i64();
-        fiat_paid_out_ = r.get_i64();
-        break;
-      }
-      case kDeltaDeposit: {
-        Hash256 hash = read_hash256(r);
-        DepositRecord record;
-        record.st = SignedTranscript::decode(r);
-        record.depositor = r.get_string();
-        deposits_[hash] = std::move(record);
-        break;
-      }
-      case kDeltaRenewal: {
-        Hash256 hash = read_hash256(r);
-        RenewalRecord record;
-        record.coin = Coin::decode(r);
-        record.proof.r1 = r.get_bigint();
-        record.proof.r2 = r.get_bigint();
-        record.datetime = r.get_i64();
-        renewals_[hash] = std::move(record);
-        break;
-      }
-      case kDeltaWitnessFault: {
-        WitnessFaultProof fault;
-        fault.coin_hash = read_hash256(r);
-        fault.first = SignedTranscript::decode(r);
-        fault.second = SignedTranscript::decode(r);
-        fault.witness = r.get_string();
-        witness_faults_.push_back(std::move(fault));
-        break;
-      }
-      case kDeltaFraudProof: {
-        renewal_fraud_proofs_.push_back(DoubleSpendProof::decode(r));
-        break;
-      }
-      default:
-        throw wire::DecodeError("broker delta: unknown tag");
+Broker::Durable Broker::decode_checkpoint(
+    std::span<const std::uint8_t> snapshot) {
+  wire::Reader r(snapshot);
+  if (r.get_string() != kCheckpointMagic)
+    throw wire::DecodeError("broker checkpoint: bad magic");
+  Durable state;
+  state.secret = r.get_bigint();
+  for (std::uint8_t tag = r.get_u8(); tag != kCheckpointEnd; tag = r.get_u8())
+    decode_record(tag, r, state);
+  r.expect_end();
+  return state;
+}
+
+void Broker::decode_record(std::uint8_t tag, wire::Reader& r,
+                           Durable& into) {
+  switch (tag) {
+    case kDeltaAccount: {
+      MerchantId id = r.get_string();
+      MerchantAccount a;
+      a.key.y = r.get_bigint();
+      a.deposit_remaining = r.get_u32();
+      a.balance = r.get_i64();
+      a.weight = r.get_u64();
+      a.flagged = r.get_u8() != 0;
+      into.accounts[id] = std::move(a);
+      break;
     }
+    case kDeltaTable: {
+      WitnessTable table = WitnessTable::decode(r);
+      // Tables are append-only in version order; a replayed record for a
+      // version we already hold (checkpoint raced ahead) is last-wins.
+      auto& tables = into.tables;
+      if (table.version() == tables.size() + 1)
+        tables.push_back(std::move(table));
+      else if (table.version() >= 1 && table.version() <= tables.size())
+        tables[table.version() - 1] = std::move(table);
+      else
+        throw wire::DecodeError("broker record: table version gap");
+      break;
+    }
+    case kDeltaCounters: {
+      into.next_session = r.get_u64();
+      into.coins_issued = r.get_u64();
+      into.fiat_collected = r.get_i64();
+      into.fiat_paid_out = r.get_i64();
+      break;
+    }
+    case kDeltaDeposit: {
+      Hash256 hash = read_hash256(r);
+      DepositRecord record;
+      record.st = SignedTranscript::decode(r);
+      record.depositor = r.get_string();
+      into.deposits[hash] = std::move(record);
+      break;
+    }
+    case kDeltaRenewal: {
+      Hash256 hash = read_hash256(r);
+      RenewalRecord record;
+      record.coin = Coin::decode(r);
+      record.proof.r1 = r.get_bigint();
+      record.proof.r2 = r.get_bigint();
+      record.datetime = r.get_i64();
+      into.renewals[hash] = std::move(record);
+      break;
+    }
+    case kDeltaWitnessFault: {
+      WitnessFaultProof fault;
+      fault.coin_hash = read_hash256(r);
+      fault.first = SignedTranscript::decode(r);
+      fault.second = SignedTranscript::decode(r);
+      fault.witness = r.get_string();
+      into.witness_faults.push_back(std::move(fault));
+      break;
+    }
+    case kDeltaFraudProof: {
+      into.renewal_fraud_proofs.push_back(DoubleSpendProof::decode(r));
+      break;
+    }
+    default:
+      throw wire::DecodeError("broker record: unknown tag");
   }
 }
 
 void Broker::attach_store(store::Store& store) {
   sync::MutexLock lock(mu_);
   // Re-attach after a crash/restart: the previous store may already be
-  // destroyed, so drop the pointer before restore_locked can checkpoint
-  // through it.
+  // destroyed, so drop the pointer before anything can journal through
+  // it.
   store_ = nullptr;
   if (store.empty()) {
     // Fresh store: write a genesis checkpoint so the signing key itself is
@@ -836,10 +768,12 @@ void Broker::attach_store(store::Store& store) {
     return;
   }
   store::Recovered rec = store.recover();
-  restore_locked(rec.snapshot);
-  for (const auto& delta : rec.deltas) apply_delta(delta);
-  // Set last: restore/replay above must not journal into the store they
-  // are reading from.
+  Durable state = decode_checkpoint(rec.snapshot);
+  for (const auto& delta : rec.deltas) {
+    wire::Reader r(delta);
+    while (!r.at_end()) decode_record(r.get_u8(), r, state);
+  }
+  install(std::move(state));
   store_ = &store;
 }
 

@@ -247,6 +247,9 @@ class Broker {
   // deliberately NOT persisted: an unanswered session is simply retried by
   // the client, and never answering twice is exactly the safe failure mode.
 
+  /// A checkpoint: a magic string, the signing secret x, then one journal
+  /// record per live entry (the same bytes the deltas use) and an end
+  /// marker, so a prefix cut on a record boundary is still rejected.
   std::vector<std::uint8_t> snapshot_state() const;
   /// Throws wire::DecodeError on malformed input; state unchanged on throw.
   /// If a store is attached, the restored state is checkpointed into it.
@@ -257,18 +260,21 @@ class Broker {
   // With a store attached, every mutating entry point journals one atomic
   // delta record describing all of its state changes and commits it
   // (group-commit fsync) before returning — an acknowledged deposit,
-  // signature or table publication survives a process kill.  Recovery is
-  // checkpoint restore + delta replay; replay is last-wins per key, so
-  // reopening after any crash point reproduces exactly the acknowledged
-  // prefix of operations.  Open sessions stay unpersisted as before.
+  // signature or table publication survives a process kill.  Recovery
+  // decodes the checkpoint and then every delta through one decoder into a
+  // staging copy; replay is last-wins per key, so reopening after any
+  // crash point reproduces exactly the acknowledged prefix of operations.
+  // Open sessions stay unpersisted as before.
 
   /// Attaches a store while the broker is quiescent (no concurrent
   /// callers).  An empty store receives a genesis checkpoint (making the
   /// signing key itself durable); a non-empty store is recovered from:
-  /// the broker's entire state is replaced by checkpoint + deltas.
+  /// the broker's entire state is replaced by checkpoint + deltas, or,
+  /// if any record fails to decode (wire::DecodeError), left unchanged.
   void attach_store(store::Store& store);
   /// Compacts the attached store to one checkpoint of the current state.
-  /// No-op when detached.
+  /// No-op when detached.  The runtime never calls it: logs grow until an
+  /// explicit compaction.
   void checkpoint_store();
   bool has_store() const { return store_ != nullptr; }
 
@@ -302,12 +308,34 @@ class Broker {
   //
   // Each mutating entry point gathers its sub-deltas into one wire::Writer
   // and appends them as ONE log record, so a torn tail can never persist
-  // half an operation.  Sub-delta appliers are last-wins per key.
+  // half an operation.  A checkpoint is the same sub-records, one per live
+  // entry.  The delta_* encoders are the only writers of each record's
+  // fields and decode_record the only reader; it is last-wins per key.
+
+  /// Everything a checkpoint holds.  Recovery decodes into one of these
+  /// and installs it only once every record has decoded.
+  struct Durable {
+    bn::BigInt secret;
+    std::map<MerchantId, MerchantAccount> accounts;
+    std::deque<WitnessTable> tables;
+    std::map<Hash256, DepositRecord> deposits;
+    std::map<Hash256, RenewalRecord> renewals;
+    std::vector<WitnessFaultProof> witness_faults;
+    std::vector<DoubleSpendProof> renewal_fraud_proofs;
+    std::uint64_t next_session = 1;
+    std::uint64_t coins_issued = 0;
+    std::int64_t fiat_collected = 0;
+    std::int64_t fiat_paid_out = 0;
+  };
   std::vector<std::uint8_t> snapshot_locked() const P2P_REQUIRES(mu_);
-  void restore_locked(std::span<const std::uint8_t> snapshot)
-      P2P_REQUIRES(mu_);
-  /// Re-applies one journaled delta record (recovery replay).
-  void apply_delta(std::span<const std::uint8_t> delta) P2P_REQUIRES(mu_);
+  /// Decodes a checkpoint: header, records up to the end marker.
+  static Durable decode_checkpoint(std::span<const std::uint8_t> snapshot);
+  /// Decodes the sub-record tagged `tag` into `into`; throws
+  /// wire::DecodeError on an unknown tag.
+  static void decode_record(std::uint8_t tag, wire::Reader& r, Durable& into);
+  /// Replaces the durable state (and drops open sessions); never throws
+  /// on decoded input.
+  void install(Durable&& state) P2P_REQUIRES(mu_);
   /// Appends `w` as one delta record; no-op when no store is attached.
   void journal(const wire::Writer& w) P2P_REQUIRES(mu_);
   void delta_account(wire::Writer& w, const MerchantId& id) const

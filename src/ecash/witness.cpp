@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 namespace p2pcash::ecash {
 
 namespace {
-// Sub-delta tags inside one journaled record (see witness.h: one record
-// per state transition, applied atomically on replay).
+constexpr std::string_view kCheckpointMagic = "p2pcash/witness-snapshot/v2";
+// Sub-record tags, shared by journaled deltas (one record per state
+// transition, applied atomically on replay) and checkpoints, whose
+// records are closed by kCheckpointEnd.
+constexpr std::uint8_t kCheckpointEnd = 0;
 constexpr std::uint8_t kDeltaCommitment = 1;
 constexpr std::uint8_t kDeltaSpent = 2;
 constexpr std::uint8_t kDeltaDoubleSpent = 3;
@@ -463,116 +467,50 @@ bool WitnessService::has_double_spend_record(const Hash256& coin_hash) const {
 }
 
 std::vector<std::uint8_t> WitnessService::snapshot_state() const {
-  // Stripes are keyed by the hash's most-significant prefix, so merging
-  // them in stripe order reproduces the global Hash256 order — and thus
-  // the exact bytes — of the pre-sharding single-map snapshot.  Stripes
-  // are locked one at a time (holding two is a lock-order violation); a
-  // concurrent writer can interleave, so snapshots of a live service are
-  // per-stripe consistent, same as any point-in-time read would be.
+  // Stripes are locked one at a time (holding two is a lock-order
+  // violation); a concurrent writer can interleave, so snapshots of a live
+  // service are per-stripe consistent, same as any point-in-time read
+  // would be.
   std::uint64_t coins_signed;
   {
     sync::MutexLock lock(mu_);
     coins_signed = coins_signed_;
   }
-  std::map<Hash256, CommitmentRecord> commitments;
-  std::map<Hash256, SpentRecord> spent;
-  std::map<Hash256, DoubleSpentRecord> double_spent;
-  std::map<Hash256, std::vector<TransferLink>> chains;
+  wire::Writer w;
+  w.put_string(kCheckpointMagic);
+  delta_counters(w, coins_signed);
   for (const Stripe& s : stripes_) {
     sync::MutexLock lock(s.mu);
-    commitments.insert(s.commitments.begin(), s.commitments.end());
-    spent.insert(s.spent.begin(), s.spent.end());
-    double_spent.insert(s.double_spent.begin(), s.double_spent.end());
-    chains.insert(s.chains.begin(), s.chains.end());
+    for (const auto& [hash, record] : s.commitments)
+      delta_commitment(w, hash, record);
+    for (const auto& [hash, record] : s.spent) delta_spent(w, hash, record);
+    for (const auto& [hash, record] : s.double_spent)
+      delta_double_spent(w, hash, record);
+    for (const auto& [hash, chain] : s.chains) delta_chain(w, hash, chain);
   }
-  wire::Writer w;
-  w.put_string("p2pcash/witness-snapshot/v1");
-  w.put_u64(coins_signed);
-  w.put_u32(static_cast<std::uint32_t>(commitments.size()));
-  for (const auto& [hash, record] : commitments) {
-    w.put_bytes(hash);
-    record.commitment.encode(w);
-    record.value.encode(w);
-    w.put_u8(record.consumed ? 1 : 0);
-  }
-  w.put_u32(static_cast<std::uint32_t>(spent.size()));
-  for (const auto& [hash, record] : spent) {
-    w.put_bytes(hash);
-    record.transcript.encode(w);
-    record.endorsement.encode(w);
-  }
-  w.put_u32(static_cast<std::uint32_t>(double_spent.size()));
-  for (const auto& [hash, record] : double_spent) {
-    w.put_bytes(hash);
-    record.proof.encode(w);
-  }
-  w.put_u32(static_cast<std::uint32_t>(chains.size()));
-  for (const auto& [hash, chain] : chains) {
-    w.put_bytes(hash);
-    w.put_u32(static_cast<std::uint32_t>(chain.size()));
-    for (const auto& link : chain) link.encode(w);
-  }
+  w.put_u8(kCheckpointEnd);
   return w.take();
 }
 
 void WitnessService::restore_state(std::span<const std::uint8_t> snapshot) {
-  wire::Reader r(snapshot);
-  if (r.get_string() != "p2pcash/witness-snapshot/v1")
-    throw wire::DecodeError("witness snapshot: bad magic");
-  // Parse the whole snapshot into per-stripe staging first (basic exception
-  // safety: nothing is installed unless everything decoded), then install
-  // stripe by stripe.
-  struct Staging {
-    std::map<Hash256, CommitmentRecord> commitments;
-    std::map<Hash256, SpentRecord> spent;
-    std::map<Hash256, DoubleSpentRecord> double_spent;
-    std::map<Hash256, std::vector<TransferLink>> chains;
-  };
-  std::array<Staging, kStripeCount> staging;
-  const std::uint64_t coins_signed = r.get_u64();
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    CommitmentRecord record;
-    record.commitment = WitnessCommitment::decode(r);
-    record.value = CommittedValue::decode(r);
-    record.consumed = r.get_u8() != 0;
-    staging[stripe_index(hash)].commitments.emplace(hash, std::move(record));
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    SpentRecord record;
-    record.transcript = PaymentTranscript::decode(r);
-    record.endorsement = WitnessEndorsement::decode(r);
-    staging[stripe_index(hash)].spent.emplace(hash, std::move(record));
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    staging[stripe_index(hash)].double_spent.emplace(
-        hash, DoubleSpentRecord{DoubleSpendProof::decode(r)});
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = read_hash256(r);
-    std::vector<TransferLink> chain;
-    for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
-      chain.push_back(TransferLink::decode(r));
-    staging[stripe_index(hash)].chains.emplace(hash, std::move(chain));
-  }
-  r.expect_end();
-  for (std::size_t i = 0; i < kStripeCount; ++i) {
-    Stripe& s = stripes_[i];
-    sync::MutexLock lock(s.mu);
-    s.commitments = std::move(staging[i].commitments);
-    s.spent = std::move(staging[i].spent);
-    s.double_spent = std::move(staging[i].double_spent);
-    s.chains = std::move(staging[i].chains);
-  }
-  {
-    sync::MutexLock lock(mu_);
-    coins_signed_ = coins_signed;
-  }
+  install(decode_checkpoint(snapshot));
   // An externally supplied snapshot supersedes the journal: compact so the
   // store and the in-memory state agree again.
   if (store_ != nullptr) store_->checkpoint(snapshot_state());
+}
+
+void WitnessService::install(Durable&& state) {
+  for (std::size_t i = 0; i < kStripeCount; ++i) {
+    Stripe& s = stripes_[i];
+    StripeTables& staged = state.stripes[i];
+    sync::MutexLock lock(s.mu);
+    s.commitments = std::move(staged.commitments);
+    s.spent = std::move(staged.spent);
+    s.double_spent = std::move(staged.double_spent);
+    s.chains = std::move(staged.chains);
+  }
+  sync::MutexLock lock(mu_);
+  coins_signed_ = state.coins_signed;
 }
 
 // ---- store journaling ------------------------------------------------------
@@ -624,72 +562,65 @@ void WitnessService::delta_counters(wire::Writer& w,
   w.put_u64(coins_signed);
 }
 
-void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
-  wire::Reader r(delta);
-  while (!r.at_end()) {
-    switch (r.get_u8()) {
-      case kDeltaCommitment: {
-        Hash256 hash = read_hash256(r);
-        CommitmentRecord record;
-        record.commitment = WitnessCommitment::decode(r);
-        record.value = CommittedValue::decode(r);
-        record.consumed = r.get_u8() != 0;
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.commitments[hash] = std::move(record);
-        break;
-      }
-      case kDeltaSpent: {
-        Hash256 hash = read_hash256(r);
-        SpentRecord record;
-        record.transcript = PaymentTranscript::decode(r);
-        record.endorsement = WitnessEndorsement::decode(r);
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.spent[hash] = std::move(record);
-        break;
-      }
-      case kDeltaDoubleSpent: {
-        Hash256 hash = read_hash256(r);
-        DoubleSpentRecord record{DoubleSpendProof::decode(r)};
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.double_spent[hash] = std::move(record);
-        break;
-      }
-      case kDeltaChain: {
-        Hash256 hash = read_hash256(r);
-        std::vector<TransferLink> chain;
-        for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
-          chain.push_back(TransferLink::decode(r));
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.chains[hash] = std::move(chain);
-        break;
-      }
-      case kDeltaSpentErase: {
-        Hash256 hash = read_hash256(r);
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.spent.erase(hash);
-        break;
-      }
-      case kDeltaCounters: {
-        std::uint64_t coins_signed = r.get_u64();
-        sync::MutexLock lock(mu_);
-        coins_signed_ = coins_signed;
-        break;
-      }
-      default:
-        throw wire::DecodeError("witness delta: unknown tag");
+WitnessService::Durable WitnessService::decode_checkpoint(
+    std::span<const std::uint8_t> snapshot) {
+  wire::Reader r(snapshot);
+  if (r.get_string() != kCheckpointMagic)
+    throw wire::DecodeError("witness checkpoint: bad magic");
+  Durable state;
+  for (std::uint8_t tag = r.get_u8(); tag != kCheckpointEnd; tag = r.get_u8())
+    decode_record(tag, r, state);
+  r.expect_end();
+  return state;
+}
+
+void WitnessService::decode_record(std::uint8_t tag, wire::Reader& r,
+                                   Durable& into) {
+  if (tag == kDeltaCounters) {
+    into.coins_signed = r.get_u64();
+    return;
+  }
+  // Every other record is keyed by its coin hash, which picks the stripe.
+  const Hash256 hash = read_hash256(r);
+  StripeTables& s = into.stripes[stripe_index(hash)];
+  switch (tag) {
+    case kDeltaCommitment: {
+      CommitmentRecord record;
+      record.commitment = WitnessCommitment::decode(r);
+      record.value = CommittedValue::decode(r);
+      record.consumed = r.get_u8() != 0;
+      s.commitments[hash] = std::move(record);
+      break;
     }
+    case kDeltaSpent: {
+      SpentRecord record;
+      record.transcript = PaymentTranscript::decode(r);
+      record.endorsement = WitnessEndorsement::decode(r);
+      s.spent[hash] = std::move(record);
+      break;
+    }
+    case kDeltaDoubleSpent:
+      s.double_spent[hash] = DoubleSpentRecord{DoubleSpendProof::decode(r)};
+      break;
+    case kDeltaChain: {
+      std::vector<TransferLink> chain;
+      for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
+        chain.push_back(TransferLink::decode(r));
+      s.chains[hash] = std::move(chain);
+      break;
+    }
+    case kDeltaSpentErase:
+      s.spent.erase(hash);
+      break;
+    default:
+      throw wire::DecodeError("witness record: unknown tag");
   }
 }
 
 void WitnessService::attach_store(store::Store& store) {
   // Re-attach after a crash/restart: the previous store may already be
-  // destroyed, so drop the pointer before restore_state can checkpoint
-  // through it.
+  // destroyed, so drop the pointer before anything can journal through
+  // it.
   store_ = nullptr;
   if (store.empty()) {
     // Fresh store: a genesis checkpoint makes the (empty but versioned)
@@ -699,8 +630,12 @@ void WitnessService::attach_store(store::Store& store) {
     return;
   }
   store::Recovered rec = store.recover();
-  restore_state(rec.snapshot);  // store_ still unset: no re-checkpoint
-  for (const auto& delta : rec.deltas) apply_delta(delta);
+  Durable state = decode_checkpoint(rec.snapshot);
+  for (const auto& delta : rec.deltas) {
+    wire::Reader r(delta);
+    while (!r.at_end()) decode_record(r.get_u8(), r, state);
+  }
+  install(std::move(state));
   store_ = &store;
 }
 

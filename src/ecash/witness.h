@@ -131,15 +131,16 @@ class WitnessService {
   // coin twice and be charged for it (Algorithm 3 case 2-b), so the state
   // must survive restarts.  snapshot_state() captures commitments, spent
   // records and double-spend proofs in canonical bytes; restore_state()
-  // rebuilds them on a freshly constructed service (same key).  In a real
-  // deployment the snapshot would be written behind a write-ahead log;
-  // here durability is the caller's concern.
+  // rebuilds them on a freshly constructed service (same key).  The bytes
+  // are the store's checkpoint format (see attach_store).
 
-  /// Serializes all double-spend-relevant state.
+  /// Serializes all double-spend-relevant state: a magic string, then one
+  /// journal record per live entry (the same bytes the deltas use) and an
+  /// end marker, so a prefix cut on a record boundary is still rejected.
   std::vector<std::uint8_t> snapshot_state() const;
   /// Replaces current state with a snapshot. Throws wire::DecodeError on
-  /// malformed input.  If a store is attached, the restored state is
-  /// checkpointed into it.
+  /// malformed input, leaving the state unchanged.  If a store is
+  /// attached, the restored state is checkpointed into it.
   void restore_state(std::span<const std::uint8_t> snapshot);
 
   // ---- durable store ---------------------------------------------------
@@ -152,9 +153,12 @@ class WitnessService {
   // never be tricked into double-signing by crashing it.
 
   /// Attaches a store while the service is quiescent.  Empty store →
-  /// genesis checkpoint; non-empty → state replaced by checkpoint + deltas.
+  /// genesis checkpoint; non-empty → state replaced by checkpoint + deltas,
+  /// all decoded into staging first: a record that fails to decode throws
+  /// wire::DecodeError and leaves the state unchanged.
   void attach_store(store::Store& store);
   /// Compacts the attached store to one checkpoint. No-op when detached.
+  /// The runtime never calls it: logs grow until an explicit compaction.
   void checkpoint_store();
   bool has_store() const { return store_ != nullptr; }
 
@@ -178,8 +182,8 @@ class WitnessService {
   /// Coin-keyed state is sharded by coin-hash prefix: the top kStripeBits
   /// of the hash's first byte pick the stripe.  Because the stripe index
   /// is the most-significant prefix, visiting stripes in order and each
-  /// stripe's maps in order yields global Hash256 order — snapshot bytes
-  /// are identical to the pre-sharding single-map layout.
+  /// stripe's maps in order yields global Hash256 order, so a snapshot
+  /// is canonical without merging the stripes.
   static constexpr std::size_t kStripeBits = 4;
   static constexpr std::size_t kStripeCount = std::size_t{1} << kStripeBits;
 
@@ -239,9 +243,28 @@ class WitnessService {
                           const std::vector<TransferLink>& chain);
   static void delta_spent_erase(wire::Writer& w, const Hash256& hash);
   static void delta_counters(wire::Writer& w, std::uint64_t coins_signed);
-  /// Re-applies one journaled delta record (recovery replay); takes the
-  /// touched coin's stripe (or mu_) per sub-record.
-  void apply_delta(std::span<const std::uint8_t> delta);
+
+  /// Everything a checkpoint holds, staged lock-free by recovery: the
+  /// delta_* encoders above are the only writers of each record's fields
+  /// and decode_record the only reader (last-wins per key).  Installed
+  /// under the locks only once every record has decoded.
+  struct StripeTables {
+    std::map<Hash256, CommitmentRecord> commitments;
+    std::map<Hash256, SpentRecord> spent;
+    std::map<Hash256, DoubleSpentRecord> double_spent;
+    std::map<Hash256, std::vector<TransferLink>> chains;
+  };
+  struct Durable {
+    std::array<StripeTables, kStripeCount> stripes;
+    std::uint64_t coins_signed = 0;
+  };
+  /// Decodes a checkpoint: magic, records up to the end marker.
+  static Durable decode_checkpoint(std::span<const std::uint8_t> snapshot);
+  /// Decodes the sub-record tagged `tag` into `into`; throws
+  /// wire::DecodeError on an unknown tag.
+  static void decode_record(std::uint8_t tag, wire::Reader& r, Durable& into);
+  /// Replaces the coin tables (one stripe lock at a time) and the counter.
+  void install(Durable&& state);
 
   group::SchnorrGroup grp_;    // immutable shared parameters: no guard
   sig::PublicKey broker_key_;  // fixed at construction

@@ -135,7 +135,9 @@ WitnessTable WitnessTable::decode(wire::Reader& r) {
   std::uint32_t n = r.get_u32();
   if (n > 1u << 20)  // sanity bound against huge-reserve DoS
     throw wire::DecodeError("WitnessTable: too many entries");
-  t.entries_.reserve(n);
+  // Every entry takes more than one byte: a forged count cannot make the
+  // reservation outgrow the input.
+  t.entries_.reserve(std::min<std::size_t>(n, r.remaining()));
   for (std::uint32_t i = 0; i < n; ++i)
     t.entries_.push_back(SignedWitnessEntry::decode(r));
   return t;

@@ -99,7 +99,8 @@ class LogStore : public Store {
 
   Stats stats() const;
 
-  /// Current log size in bytes (compaction policy input).
+  /// Current log size in bytes.  No compaction policy reads it: a log is
+  /// compacted only by an explicit checkpoint().
   std::uint64_t size_bytes() const;
 
   const std::string& name() const { return name_; }

@@ -4,14 +4,17 @@
 // persist it through this interface as
 //
 //   * **checkpoints** — a full canonical snapshot (the same bytes as
-//     snapshot_state()), written on attach and by compaction; and
+//     snapshot_state(): a header plus the delta records of every live
+//     entry), written as the genesis record when a service attaches to an
+//     empty store and by an explicit checkpoint_store(); and
 //   * **deltas** — small typed records appended by every mutating entry
 //     point *before* the operation is acknowledged, then made durable by
 //     commit().
 //
-// Recovery = restore the last checkpoint, then re-apply the deltas after
-// it in append order (each service's apply_delta is last-wins per key, so
-// replay is idempotent).  The contract the crash-point matrix enforces:
+// Recovery = decode the last checkpoint, then the deltas after it in
+// append order, into staging (each service's record decoder is last-wins
+// per key, so replay is idempotent), and install the result only once all
+// of it decoded.  Nothing compacts a log automatically.  The contract the crash-point matrix enforces:
 // **a record covered by a returned commit() is never lost**, and a torn
 // tail past the last commit is truncated silently — the service simply
 // never acknowledged those operations.

@@ -143,11 +143,43 @@ TEST_F(BrokerRecoveryTest, CorruptSnapshotsRejectedAtomically) {
   auto garbled = snapshot;
   garbled[5] ^= 0xff;  // inside the magic string
   EXPECT_THROW(dep_.broker().restore_state(garbled), wire::DecodeError);
-  for (std::size_t cut : {0u, 10u, 60u}) {
+  // Every proper prefix is rejected, including those that end exactly on
+  // a record boundary (only the end marker closes a checkpoint).
+  for (std::size_t cut = 0; cut < snapshot.size(); ++cut) {
     std::span<const std::uint8_t> prefix(snapshot.data(), cut);
-    EXPECT_THROW(dep_.broker().restore_state(prefix), wire::DecodeError);
+    EXPECT_THROW(dep_.broker().restore_state(prefix), wire::DecodeError)
+        << "cut " << cut;
   }
   // Failed restores left the broker untouched.
+  EXPECT_EQ(dep_.broker().snapshot_state(), before);
+}
+
+TEST_F(BrokerRecoveryTest, BadDeltaLeavesTheBrokerUntouched) {
+  // A log holding a genuine checkpoint, one valid delta and a CRC-valid,
+  // committed delta with an unknown sub-record tag.  Recovery decodes all
+  // of it into staging first, so the bad record aborts the attach before
+  // anything is installed.
+  store::MemVfs vfs;
+  {
+    store::LogStore log(vfs, "broker.log");
+    crypto::ChaChaRng rng("bad-delta");
+    Broker source(dep_.grp(), rng, dep_.broker().config());
+    source.attach_store(log);  // genesis checkpoint
+    source.register_merchant("late", dep_.broker().coin_key(), 10);
+    log.append(std::vector<std::uint8_t>{0xee});
+    log.commit();
+  }
+  store::LogStore reopened(vfs, "broker.log");
+
+  // The target's state differs from that checkpoint (another key, coins,
+  // a deposit), so any partial install would show in its snapshot.
+  auto coin = withdraw(100);
+  auto merchant = non_witness_merchant(coin);
+  ASSERT_TRUE(dep_.pay(*wallet_, coin, merchant, 2000).accepted);
+  ASSERT_EQ(dep_.deposit_all(merchant, 3000).accepted, 1u);
+  const auto before = dep_.broker().snapshot_state();
+
+  EXPECT_THROW(dep_.broker().attach_store(reopened), wire::DecodeError);
   EXPECT_EQ(dep_.broker().snapshot_state(), before);
 }
 

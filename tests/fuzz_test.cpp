@@ -371,6 +371,98 @@ TEST_F(FuzzFixture, HostileLogCorpusRecoversOrTruncatesNeverCrashes) {
   }
 }
 
+TEST_F(FuzzFixture, MutatedSnapshotsRestoreOrThrowWithoutSideEffects) {
+  // Genuine checkpoints from a small run with every record kind the
+  // services journal (deposit, witness fault, double-spend proof, transfer
+  // chain), then seeded byte flips, truncations and insertions.  Each
+  // input restores or throws DecodeError; a throw changes nothing.
+  std::vector<WalletCoin> coins;
+  for (int i = 0; i < 4; ++i) coins.push_back(withdraw(100));
+  const auto ids = dep_.merchant_ids();
+  auto payee = [&](const WalletCoin& c, std::size_t skip) {
+    std::vector<MerchantId> out;
+    for (const auto& id : ids) {
+      bool is_witness = false;
+      for (const auto& e : c.coin.witnesses) is_witness |= e.merchant == id;
+      if (!is_witness) out.push_back(id);
+    }
+    return out.at(skip);
+  };
+  // coin 0: paid, deposited, then double-spent (the witness keeps a proof).
+  ASSERT_TRUE(dep_.pay(*wallet_, coins[0], payee(coins[0], 0), 2000).accepted);
+  dep_.deposit_all(payee(coins[0], 0), 2500);
+  EXPECT_FALSE(
+      dep_.pay(*wallet_, coins[0], payee(coins[0], 1), 60'000).accepted);
+  // coin 1: a faulty witness signs twice; the second deposit convicts it.
+  const auto faulty = coins[1].coin.witnesses[0].merchant;
+  dep_.node(faulty).witness->set_faulty(true);
+  ASSERT_TRUE(dep_.pay(*wallet_, coins[1], payee(coins[1], 0), 3000).accepted);
+  ASSERT_TRUE(dep_.pay(*wallet_, coins[1], payee(coins[1], 1), 3100).accepted);
+  dep_.node(faulty).witness->set_faulty(false);
+  dep_.deposit_all(payee(coins[1], 0), 4000);
+  dep_.deposit_all(payee(coins[1], 1), 4000);
+  ASSERT_EQ(dep_.broker().witness_faults().size(), 1u);
+  // coin 2: transferred (its slot-0 witness records a chain).
+  auto recipient = dep_.make_wallet();
+  ASSERT_TRUE(
+      dep_.transfer(*wallet_, coins[2], *recipient, 5000).received.has_value());
+
+  WitnessService* witness = nullptr;
+  std::size_t largest = 0;
+  for (const auto& id : ids) {
+    auto bytes = dep_.node(id).witness->snapshot_state();
+    if (bytes.size() > largest) {
+      largest = bytes.size();
+      witness = dep_.node(id).witness.get();
+    }
+  }
+  ASSERT_NE(witness, nullptr);
+
+  auto mutate = [&](std::vector<std::uint8_t> bytes, int trial) {
+    switch (trial % 3) {
+      case 0:  // byte flips
+        for (int i = 0; i <= trial % 4; ++i)
+          bytes[fuzz_rng_.next_u64() % bytes.size()] ^=
+              static_cast<std::uint8_t>(1 + fuzz_rng_.next_u64() % 255);
+        break;
+      case 1:  // truncation
+        bytes.resize(fuzz_rng_.next_u64() % bytes.size());
+        break;
+      case 2: {  // insertion of 1..8 random bytes
+        std::vector<std::uint8_t> junk(1 + fuzz_rng_.next_u64() % 8);
+        fuzz_rng_.fill(junk);
+        auto at = static_cast<std::ptrdiff_t>(fuzz_rng_.next_u64() %
+                                              (bytes.size() + 1));
+        bytes.insert(bytes.begin() + at, junk.begin(), junk.end());
+        break;
+      }
+    }
+    return bytes;
+  };
+  auto hammer = [&](auto& service, const char* what) {
+    const auto genuine = service.snapshot_state();
+    int restored = 0, rejected = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto bytes = mutate(genuine, trial);
+      const auto before = service.snapshot_state();
+      try {
+        service.restore_state(bytes);
+        ++restored;
+      } catch (const wire::DecodeError&) {
+        ++rejected;
+        EXPECT_EQ(service.snapshot_state(), before)
+            << what << " trial " << trial;
+      }
+    }
+    EXPECT_GT(rejected, 0) << what;
+    // The genuine checkpoint still restores exactly afterwards.
+    service.restore_state(genuine);
+    EXPECT_EQ(service.snapshot_state(), genuine) << what;
+  };
+  hammer(dep_.broker(), "broker");
+  hammer(*witness, "witness");
+}
+
 TEST_F(FuzzFixture, FuzzedUriFormsParseOrThrow) {
   crypto::ChaChaRng rng("uri-fuzz");
   for (int trial = 0; trial < 200; ++trial) {

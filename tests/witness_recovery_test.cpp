@@ -132,11 +132,12 @@ TEST_F(WitnessRecoveryTest, CorruptSnapshotsRejected) {
   auto& witness = *dep_.node(witness_id).witness;
   auto snapshot = witness.snapshot_state();
 
-  // Truncations at every prefix either throw or are rejected; never UB.
-  for (std::size_t cut : {0u, 1u, 8u, 32u}) {
-    if (cut >= snapshot.size()) continue;
+  // Every proper prefix is rejected, including those that end exactly on
+  // a record boundary (only the end marker closes a checkpoint).
+  for (std::size_t cut = 0; cut < snapshot.size(); ++cut) {
     std::span<const std::uint8_t> prefix(snapshot.data(), cut);
-    EXPECT_THROW(witness.restore_state(prefix), wire::DecodeError);
+    EXPECT_THROW(witness.restore_state(prefix), wire::DecodeError)
+        << "cut " << cut;
   }
   // Bad magic.
   auto garbled = snapshot;
@@ -144,6 +145,40 @@ TEST_F(WitnessRecoveryTest, CorruptSnapshotsRejected) {
   EXPECT_THROW(witness.restore_state(garbled), wire::DecodeError);
   // A failed restore must not have clobbered the state.
   EXPECT_EQ(witness.snapshot_state(), snapshot);
+}
+
+TEST_F(WitnessRecoveryTest, BadDeltaLeavesTheWitnessUntouched) {
+  // A log holding a genuine checkpoint, one valid delta and a CRC-valid,
+  // committed delta with an unknown sub-record tag.  Recovery decodes all
+  // of it into staging first, so the bad record aborts the attach before
+  // anything is installed.
+  auto coin = withdraw(100);
+  const auto w = coin.coin.witnesses[0].merchant;
+  auto key = sig::KeyPair::from_secret(
+      dep_.grp(), dep_.node(w).merchant->key_pair().secret());
+  store::MemVfs vfs;
+  {
+    store::LogStore log(vfs, "witness.log");
+    WitnessService source(dep_.grp(), dep_.broker().coin_key(), w, key,
+                          dep_.rng());
+    source.attach_store(log);  // genesis checkpoint
+    Hash256 other_coin{};
+    other_coin[0] = 0x42;
+    ASSERT_TRUE(source.request_commitment(other_coin, Hash256{}, 1000).ok());
+    log.append(std::vector<std::uint8_t>{0xee});
+    log.commit();
+  }
+  store::LogStore reopened(vfs, "witness.log");
+
+  // The target's state differs from that checkpoint (a commitment and a
+  // spent record for `coin`), so any partial install would show.
+  ASSERT_TRUE(dep_.pay(*wallet_, coin, non_witness_merchant(coin), 2000)
+                  .accepted);
+  auto& target = *dep_.node(w).witness;
+  const auto before = target.snapshot_state();
+
+  EXPECT_THROW(target.attach_store(reopened), wire::DecodeError);
+  EXPECT_EQ(target.snapshot_state(), before);
 }
 
 TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
