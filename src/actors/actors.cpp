@@ -265,7 +265,8 @@ void MerchantActor::handle_transcript(const Message& msg) {
   std::optional<Refusal> refusal;
   {
     ScopedOpCounting guard(ops);
-    auto accepted = merchant_.receive_payment(transcript, commitments, now());
+    auto accepted = merchant_.receive_payment(transcript, commitments, now(),
+                                             run_checks_);
     if (!accepted) refusal = accepted.refusal();
   }
   if (refusal) {
@@ -313,7 +314,7 @@ void MerchantActor::handle_sign_request(const Message& msg) {
   Message reply{id(), msg.from, "", {}, msg.trace};
   {
     ScopedOpCounting guard(ops);
-    auto result = witness_.sign_transcript(transcript, now());
+    auto result = witness_.sign_transcript(transcript, now(), run_checks_);
     Writer w;
     if (!result) {
       reply.type = "pay.sign_refused";

@@ -189,6 +189,12 @@ class MerchantActor final : public ProtocolActor {
   ecash::WitnessService& witness_;
   const Directory& directory_;
   RetryPolicy retry_;
+  /// Runs the storefront's and the witness's independent checks on the
+  /// transport: inline on the simulator, overlapped on TcpNet's pool.
+  const ecash::CheckRunner run_checks_ =
+      [this](std::span<const std::function<bool()>> checks) {
+        return tx_.run_checks(checks);
+      };
 
   /// Payments awaiting witness replies, with enough context to re-drive the
   /// witnesses when the client retransmits the transcript.

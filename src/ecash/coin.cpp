@@ -224,37 +224,57 @@ Outcome<std::monostate> verify_transfer_chain(const group::SchnorrGroup& grp,
   return std::monostate{};
 }
 
+std::vector<Check> coin_checks(const group::SchnorrGroup& grp,
+                               const sig::PublicKey& broker_key,
+                               const Coin& coin, Timestamp now) {
+  using Ok = Outcome<std::monostate>;
+  const CoinInfo& info = coin.bare.info;
+  std::vector<Check> checks;
+  checks.reserve(coin.witnesses.size() + 4);
+  checks.emplace_back([&grp, &broker_key, &coin, &info, now]() -> Ok {
+    if (now >= info.soft_expiry)
+      return Refusal{RefusalReason::kExpired, "coin past soft expiry"};
+    if (info.witness_n == 0 || info.witness_k == 0 ||
+        info.witness_k > info.witness_n)
+      return Refusal{RefusalReason::kInvalidCoin, "bad witness policy"};
+    if (!blindsig::verify(grp, broker_key.y, info.bytes(),
+                          coin.bare.blind_message(), coin.bare.sig))
+      return Refusal{RefusalReason::kInvalidCoin,
+                     "broker blind signature invalid"};
+    return std::monostate{};
+  });
+  checks.emplace_back([&coin, &info]() -> Ok {
+    if (coin.witnesses.size() != info.witness_n)
+      return Refusal{RefusalReason::kInvalidCoin, "witness entry count"};
+    return std::monostate{};
+  });
+  for (const SignedWitnessEntry& entry : coin.witnesses) {
+    checks.emplace_back([&grp, &broker_key, &entry, &info]() -> Ok {
+      if (entry.version != info.list_version)
+        return Refusal{RefusalReason::kInvalidCoin,
+                       "witness entry version mismatch"};
+      if (!sig::verify(grp, broker_key, entry.signed_payload(),
+                       entry.broker_sig))
+        return Refusal{RefusalReason::kBadSignature,
+                       "witness entry signature invalid"};
+      return std::monostate{};
+    });
+  }
+  checks.emplace_back([&coin]() -> Ok {
+    if (!check_witness_probe_sequence(coin, coin.bare.coin_hash()))
+      return Refusal{RefusalReason::kWrongWitness,
+                     "witness assignment does not match h(bare coin)"};
+    return std::monostate{};
+  });
+  checks.emplace_back(
+      [&grp, &coin] { return verify_transfer_chain(grp, coin); });
+  return checks;
+}
+
 Outcome<std::monostate> verify_coin(const group::SchnorrGroup& grp,
                                     const sig::PublicKey& broker_key,
                                     const Coin& coin, Timestamp now) {
-  const CoinInfo& info = coin.bare.info;
-  if (now >= info.soft_expiry)
-    return Refusal{RefusalReason::kExpired, "coin past soft expiry"};
-  if (info.witness_n == 0 || info.witness_k == 0 ||
-      info.witness_k > info.witness_n)
-    return Refusal{RefusalReason::kInvalidCoin, "bad witness policy"};
-  if (!blindsig::verify(grp, broker_key.y, info.bytes(),
-                        coin.bare.blind_message(), coin.bare.sig))
-    return Refusal{RefusalReason::kInvalidCoin,
-                   "broker blind signature invalid"};
-  if (coin.witnesses.size() != info.witness_n)
-    return Refusal{RefusalReason::kInvalidCoin, "witness entry count"};
-  const auto coin_hash = coin.bare.coin_hash();
-  for (const SignedWitnessEntry& entry : coin.witnesses) {
-    if (entry.version != info.list_version)
-      return Refusal{RefusalReason::kInvalidCoin,
-                     "witness entry version mismatch"};
-    if (!sig::verify(grp, broker_key, entry.signed_payload(),
-                     entry.broker_sig))
-      return Refusal{RefusalReason::kBadSignature,
-                     "witness entry signature invalid"};
-  }
-  if (!check_witness_probe_sequence(coin, coin_hash))
-    return Refusal{RefusalReason::kWrongWitness,
-                   "witness assignment does not match h(bare coin)"};
-  if (auto chain = verify_transfer_chain(grp, coin); !chain)
-    return chain.refusal();
-  return std::monostate{};
+  return run_checks(coin_checks(grp, broker_key, coin, now), {});
 }
 
 Outcome<std::monostate> verify_bare_coin_with_secret(

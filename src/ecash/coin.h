@@ -15,6 +15,7 @@
 
 #include "blindsig/abe_okamoto.h"
 #include "bn/bigint.h"
+#include "ecash/checks.h"
 #include "ecash/common.h"
 #include "ecash/witness_table.h"
 #include "group/schnorr_group.h"
@@ -156,13 +157,24 @@ bool check_witness_probe_sequence(
     const Coin& coin, const std::array<std::uint8_t, 32>& coin_hash);
 
 /// Full public verification of a coin, as any merchant performs it in the
-/// payment protocol (paper Algorithm 2, step 3):
-///   * broker's partially blind signature over (info, A, B) verifies;
-///   * validity window contains `now` (soft expiry not passed);
-///   * every witness entry is broker-signed, matches info.list_version, and
-///     its range contains witness_point(i).
-/// Cost: 4 Exp + 2 Hash for the blind signature, 1 Hash per witness point,
-/// 1 Ver per witness entry.
+/// payment protocol (paper Algorithm 2, step 3), as independent checks
+/// (checks.h), in this order:
+///   * validity window contains `now` (soft expiry not passed), sane
+///     witness policy, and the broker's partially blind signature over
+///     (info, A, B) verifies;
+///   * the coin carries witness_n entries;
+///   * each witness entry matches info.list_version and is broker-signed
+///     (one check per entry);
+///   * the entries are the probe sequence of h(bare coin);
+///   * the transfer chain verifies.
+/// Cost: 4 Exp + 2 Hash for the blind signature, 1 Hash for h(bare coin)
+/// and 1 per further witness point, 1 Ver per witness entry.  The checks
+/// borrow `grp`, `broker_key` and `coin`, which must outlive them.
+std::vector<Check> coin_checks(const group::SchnorrGroup& grp,
+                               const sig::PublicKey& broker_key,
+                               const Coin& coin, Timestamp now);
+
+/// Runs coin_checks in order on the calling thread.
 Outcome<std::monostate> verify_coin(const group::SchnorrGroup& grp,
                                     const sig::PublicKey& broker_key,
                                     const Coin& coin, Timestamp now);

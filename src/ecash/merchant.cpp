@@ -1,6 +1,7 @@
 #include "ecash/merchant.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace p2pcash::ecash {
@@ -15,13 +16,16 @@ Merchant::Merchant(group::SchnorrGroup grp, sig::PublicKey broker_key,
 
 Outcome<std::monostate> Merchant::receive_payment(
     const PaymentTranscript& transcript,
-    const std::vector<WitnessCommitment>& commitments, Timestamp now) {
+    const std::vector<WitnessCommitment>& commitments, Timestamp now,
+    const CheckRunner& runner) {
+  using Ok = Outcome<std::monostate>;
   if (transcript.merchant != id_)
     return Refusal{RefusalReason::kBadProof,
                    "transcript names a different merchant"};
 
   // "The merchant rejects ... if it has already received payment with the
-  // same coin."
+  // same coin."  A read of state only this strand changes, so it still
+  // holds after the checks.
   const Hash256 coin_hash = transcript.coin.bare.coin_hash();
   if (seen_coins_.contains(coin_hash) || pending_.contains(coin_hash))
     return Refusal{RefusalReason::kDoubleSpent,
@@ -29,48 +33,61 @@ Outcome<std::monostate> Merchant::receive_payment(
 
   // Full coin verification (broker blind signature, witness assignment,
   // entry signatures, expiry).
-  if (auto ok = verify_coin(grp_, broker_key_, transcript.coin, now); !ok)
-    return ok.refusal();
+  std::vector<Check> checks =
+      coin_checks(grp_, broker_key_, transcript.coin, now);
 
   // The NIZK response: A * B^d == g1^r1 g2^r2 with d bound to us and now.
-  if (!verify_transcript_proof(grp_, transcript))
-    return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
+  checks.emplace_back([this, &transcript]() -> Ok {
+    if (!verify_transcript_proof(grp_, transcript))
+      return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
+    return std::monostate{};
+  });
 
   // Witness commitments: need at least witness_k, each from a distinct
   // assigned witness, covering this coin, bound to us via the nonce, alive,
-  // and properly signed.
+  // and properly signed.  One check per commitment.
   const CoinInfo& info = transcript.coin.bare.info;
   const Hash256 nonce = payment_nonce(transcript.salt, id_);
-  std::vector<MerchantId> committed;
-  for (const auto& commitment : commitments) {
-    if (commitment.coin_hash != coin_hash)
-      return Refusal{RefusalReason::kBadProof,
-                     "commitment covers another coin"};
-    if (commitment.nonce != nonce)
-      return Refusal{RefusalReason::kBadNonce,
-                     "commitment nonce does not bind this merchant"};
-    if (now >= commitment.expires)
-      return Refusal{RefusalReason::kStaleRequest, "commitment expired"};
-    auto entry = std::find_if(transcript.coin.witnesses.begin(),
-                              transcript.coin.witnesses.end(),
-                              [&](const SignedWitnessEntry& e) {
-                                return e.merchant == commitment.witness;
-                              });
-    if (entry == transcript.coin.witnesses.end())
-      return Refusal{RefusalReason::kWrongWitness,
-                     "commitment from a non-assigned witness"};
-    if (std::find(committed.begin(), committed.end(), commitment.witness) !=
-        committed.end())
-      return Refusal{RefusalReason::kBadProof, "duplicate commitment witness"};
-    if (!sig::verify(grp_, entry->witness_key, commitment.signed_payload(),
-                     commitment.witness_sig))
-      return Refusal{RefusalReason::kBadSignature,
-                     "witness commitment signature invalid"};
-    committed.push_back(commitment.witness);
+  for (std::size_t j = 0; j < commitments.size(); ++j) {
+    checks.emplace_back([&, j]() -> Ok {
+      const WitnessCommitment& commitment = commitments[j];
+      if (commitment.coin_hash != coin_hash)
+        return Refusal{RefusalReason::kBadProof,
+                       "commitment covers another coin"};
+      if (commitment.nonce != nonce)
+        return Refusal{RefusalReason::kBadNonce,
+                       "commitment nonce does not bind this merchant"};
+      if (now >= commitment.expires)
+        return Refusal{RefusalReason::kStaleRequest, "commitment expired"};
+      const auto& witnesses = transcript.coin.witnesses;
+      auto entry = std::find_if(witnesses.begin(), witnesses.end(),
+                                [&](const SignedWitnessEntry& e) {
+                                  return e.merchant == commitment.witness;
+                                });
+      if (entry == witnesses.end())
+        return Refusal{RefusalReason::kWrongWitness,
+                       "commitment from a non-assigned witness"};
+      const auto earlier = commitments.begin() + static_cast<std::ptrdiff_t>(j);
+      if (std::any_of(commitments.begin(), earlier,
+                      [&](const WitnessCommitment& c) {
+                        return c.witness == commitment.witness;
+                      }))
+        return Refusal{RefusalReason::kBadProof,
+                       "duplicate commitment witness"};
+      if (!sig::verify(grp_, entry->witness_key, commitment.signed_payload(),
+                       commitment.witness_sig))
+        return Refusal{RefusalReason::kBadSignature,
+                       "witness commitment signature invalid"};
+      return std::monostate{};
+    });
   }
-  if (committed.size() < info.witness_k)
-    return Refusal{RefusalReason::kBadProof,
-                   "insufficient witness commitments"};
+  checks.emplace_back([&]() -> Ok {
+    if (commitments.size() < info.witness_k)
+      return Refusal{RefusalReason::kBadProof,
+                     "insufficient witness commitments"};
+    return std::monostate{};
+  });
+  if (auto ok = run_checks(checks, runner); !ok) return ok;
 
   pending_.emplace(coin_hash,
                    PendingPayment{transcript, commitments, {}});

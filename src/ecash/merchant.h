@@ -30,14 +30,17 @@ class Merchant {
   const sig::KeyPair& key_pair() const { return key_; }
 
   /// Step 3: validates an incoming payment *before* consulting witnesses:
-  /// coin verifies (broker signature, witness entries, expiry), commitments
-  /// bind this merchant (nonce = h(salt || I_M)), commitments cover the
-  /// coin and are signed by assigned witnesses, NIZK response verifies, and
-  /// the coin was not already presented here.  On success the payment is
-  /// pending until enough endorsements arrive.
+  /// the coin was not already presented here, then, as independent checks
+  /// on `runner` (checks.h; empty = in order on this thread): coin
+  /// verifies (broker signature, witness entries, expiry), NIZK response
+  /// verifies, and each commitment covers the coin, binds this merchant
+  /// (nonce = h(salt || I_M)) and is signed by a distinct assigned
+  /// witness.  On success the payment is pending until enough endorsements
+  /// arrive.
   Outcome<std::monostate> receive_payment(
       const PaymentTranscript& transcript,
-      const std::vector<WitnessCommitment>& commitments, Timestamp now);
+      const std::vector<WitnessCommitment>& commitments, Timestamp now,
+      const CheckRunner& runner = {});
 
   /// Step 5/6: records a witness endorsement (after verifying it). Returns
   /// true when the payment has reached witness_k endorsements — service can

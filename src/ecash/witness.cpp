@@ -91,7 +91,8 @@ std::optional<std::size_t> WitnessService::own_entry_index(
 }
 
 Outcome<SignResult> WitnessService::sign_transcript(
-    const PaymentTranscript& transcript, Timestamp now) {
+    const PaymentTranscript& transcript, Timestamp now,
+    const CheckRunner& runner) {
   store::StoreCommit store_commit(store_);
   const Coin& coin = transcript.coin;
   const Hash256 coin_hash = coin.bare.coin_hash();
@@ -116,12 +117,16 @@ Outcome<SignResult> WitnessService::sign_transcript(
   }
 
   // Full verification of the presented coin (ours? valid? unexpired?) and
-  // its payment NIZK (1 Hash for d + 3 Exp).  Both run on immutable inputs
-  // with no lock held; the spend state is re-checked under the stripe.
-  auto index = check_presented_coin(coin, coin_hash, now);
-  if (!index) return index.refusal();
-  if (!verify_transcript_proof(grp_, transcript))
-    return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
+  // its payment NIZK (1 Hash for d + 3 Exp), as independent checks on
+  // `runner`.  They read immutable inputs with no lock held; the spend
+  // state is re-checked under the stripe.
+  std::vector<Check> checks = presented_coin_checks(coin, coin_hash, now);
+  checks.emplace_back([this, &transcript]() -> Outcome<std::monostate> {
+    if (!verify_transcript_proof(grp_, transcript))
+      return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
+    return std::monostate{};
+  });
+  if (auto ok = run_checks(checks, runner); !ok) return ok.refusal();
 
   std::optional<DoubleSpendProof> stale_evidence;
   bool signed_new = false;
@@ -288,28 +293,48 @@ Outcome<SignResult> WitnessService::sign_transcript(
   return result;
 }
 
-Outcome<std::size_t> WitnessService::check_presented_coin(
+std::vector<Check> WitnessService::presented_coin_checks(
     const Coin& coin, const Hash256& coin_hash, Timestamp now) const {
-  auto index = own_entry_index(coin, coin_hash);
-  if (!index)
-    return Refusal{RefusalReason::kWrongWitness,
-                   "coin is not assigned to this witness"};
-  // Verify our broker-signed range entry (1 Ver) and the bare coin's blind
-  // signature (4 Exp + 2 Hash); an invalid coin is never countersigned.
-  const SignedWitnessEntry& entry = coin.witnesses[*index];
-  if (entry.version != coin.bare.info.list_version)
-    return Refusal{RefusalReason::kInvalidCoin, "entry/info version mismatch"};
-  if (!sig::verify(grp_, broker_key_, entry.signed_payload(),
-                   entry.broker_sig))
-    return Refusal{RefusalReason::kBadSignature, "bad broker range signature"};
-  if (now >= coin.bare.info.soft_expiry)
-    return Refusal{RefusalReason::kExpired, "coin past soft expiry"};
-  if (!blindsig::verify(grp_, broker_key_.y, coin.bare.info.bytes(),
-                        coin.bare.blind_message(), coin.bare.sig))
-    return Refusal{RefusalReason::kInvalidCoin, "bad broker blind signature"};
-  if (auto chain = verify_transfer_chain(grp_, coin); !chain)
-    return chain.refusal();
-  return *index;
+  using Ok = Outcome<std::monostate>;
+  const CoinInfo& info = coin.bare.info;
+  std::vector<Check> checks;
+  checks.emplace_back([this, &coin, &coin_hash, &info]() -> Ok {
+    auto index = own_entry_index(coin, coin_hash);
+    if (!index)
+      return Refusal{RefusalReason::kWrongWitness,
+                     "coin is not assigned to this witness"};
+    if (coin.witnesses[*index].version != info.list_version)
+      return Refusal{RefusalReason::kInvalidCoin,
+                     "entry/info version mismatch"};
+    return std::monostate{};
+  });
+  // Our broker-signed range entry (1 Ver).  When we hold no entry the
+  // check above refuses first, so this one passes.
+  checks.emplace_back([this, &coin]() -> Ok {
+    for (const SignedWitnessEntry& entry : coin.witnesses) {
+      if (entry.merchant != id_) continue;
+      if (!sig::verify(grp_, broker_key_, entry.signed_payload(),
+                       entry.broker_sig))
+        return Refusal{RefusalReason::kBadSignature,
+                       "bad broker range signature"};
+      break;
+    }
+    return std::monostate{};
+  });
+  // The bare coin's blind signature (4 Exp + 2 Hash): an invalid coin is
+  // never countersigned.
+  checks.emplace_back([this, &coin, &info, now]() -> Ok {
+    if (now >= info.soft_expiry)
+      return Refusal{RefusalReason::kExpired, "coin past soft expiry"};
+    if (!blindsig::verify(grp_, broker_key_.y, info.bytes(),
+                          coin.bare.blind_message(), coin.bare.sig))
+      return Refusal{RefusalReason::kInvalidCoin,
+                     "bad broker blind signature"};
+    return std::monostate{};
+  });
+  checks.emplace_back(
+      [this, &coin] { return verify_transfer_chain(grp_, coin); });
+  return checks;
 }
 
 Outcome<std::variant<TransferLink, DoubleSpendProof>>
@@ -335,9 +360,12 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   // Unlocked crypto on immutable inputs: the presented coin and the
   // ownership proof.  The proof verdict is only consulted on the
   // first-transfer branch, matching the original check order.
-  auto index = check_presented_coin(coin, coin_hash, now);
-  if (!index) return index.refusal();
-  if (index.value() != 0)
+  if (auto ok = run_checks(presented_coin_checks(coin, coin_hash, now), {});
+      !ok)
+    return ok.refusal();
+  // The checks found our entry, so the coin has one; slot 0 is ours iff
+  // the first entry names us.
+  if (coin.witnesses.front().merchant != id_)
     return Refusal{RefusalReason::kWrongWitness,
                    "transfers are endorsed by witness slot 0 only"};
   const bn::BigInt d = transfer_challenge(grp_, coin, new_a, new_b, datetime);

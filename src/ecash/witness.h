@@ -80,8 +80,12 @@ class WitnessService {
   /// Step 4 -> 5.  On first valid spend: endorsement. On a second spend
   /// with a different challenge: DoubleSpendProof. Refusals: wrong witness,
   /// invalid coin/proof, missing or mismatched commitment (bad nonce).
+  /// The coin and NIZK checks run on `runner` (checks.h; empty = in order
+  /// on this thread) with no lock held; the spend state machine runs on
+  /// the calling thread after they all passed.
   Outcome<SignResult> sign_transcript(const PaymentTranscript& transcript,
-                                      Timestamp now);
+                                      Timestamp now,
+                                      const CheckRunner& runner = {});
 
   /// Conflict resolution (paper §5): reveal the value v committed under
   /// h(v) so an arbiter can decide whether the witness knew of a prior
@@ -213,12 +217,15 @@ class WitnessService {
   std::optional<std::size_t> own_entry_index(const Coin& coin,
                                              const Hash256& coin_hash) const;
 
-  /// Verifies everything about a presented coin except spend state; on
-  /// success returns the index of our witness entry.  Pure function of the
-  /// coin and the service's immutable keys — called with no lock held.
-  Outcome<std::size_t> check_presented_coin(const Coin& coin,
-                                            const Hash256& coin_hash,
-                                            Timestamp now) const;
+  /// Everything about a presented coin except spend state, as independent
+  /// checks (checks.h), in order: the coin is ours (probe sequence, entry
+  /// version), our entry's broker signature, expiry and the blind
+  /// signature, the transfer chain.  Pure functions of the coin and the
+  /// service's immutable keys — run with no lock held.  They borrow `coin`
+  /// and `coin_hash`.
+  std::vector<Check> presented_coin_checks(const Coin& coin,
+                                           const Hash256& coin_hash,
+                                           Timestamp now) const;
 
   bool is_faulty() const {
     sync::MutexLock lock(mu_);

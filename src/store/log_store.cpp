@@ -1,5 +1,7 @@
 #include "store/log_store.h"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics_registry.h"
@@ -108,8 +110,18 @@ Recovered LogStore::recover() {
   return recovered_;
 }
 
+void LogStore::check_record_size(std::span<const std::uint8_t> body) const {
+  // The open-time scan treats a longer payload (kind byte + body) as
+  // corruption and truncates the log there, with every record after it.
+  if (body.size() >= options_.max_record_bytes)
+    throw std::length_error("LogStore: record of " +
+                            std::to_string(body.size() + 1) +
+                            " bytes exceeds max_record_bytes");
+}
+
 void LogStore::append_framed(std::uint8_t kind,
                              std::span<const std::uint8_t> body) {
+  check_record_size(body);
   const std::vector<std::uint8_t> rec = frame_record(kind, body);
   file_->append(rec);
   written_ += rec.size();
@@ -163,6 +175,7 @@ void LogStore::commit() P2P_NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void LogStore::checkpoint(std::vector<std::uint8_t> snapshot) {
+  check_record_size(snapshot);
   sync::MutexLock lock(mu_);
   // Never swap the file out from under a leader's in-flight fsync.
   while (sync_in_flight_) sync_done_.wait(mu_);

@@ -65,8 +65,10 @@ class LogStore : public Store {
  public:
   struct Options {
     /// Upper bound on a single record's payload.  A length prefix above
-    /// this is corruption (wire/framing's poison-on-oversized idiom);
-    /// generous because checkpoints carry whole service snapshots.
+    /// this is corruption (wire/framing's poison-on-oversized idiom), so
+    /// append() and checkpoint() refuse a longer record with
+    /// std::length_error before writing it; generous because checkpoints
+    /// carry whole service snapshots.
     std::uint32_t max_record_bytes = 64u << 20;
     /// Metrics sink; nullptr disables instrumentation.
     obs::MetricsRegistry* metrics = nullptr;
@@ -112,6 +114,9 @@ class LogStore : public Store {
 
  private:
   void open_and_scan();
+  /// Throws std::length_error when kind byte + `body` would exceed
+  /// max_record_bytes — before any byte of the record is written.
+  void check_record_size(std::span<const std::uint8_t> body) const;
   void append_framed(std::uint8_t kind, std::span<const std::uint8_t> body)
       P2P_REQUIRES(mu_);
 

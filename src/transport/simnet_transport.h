@@ -11,7 +11,10 @@
 // actor's strand).  On simnet a strand is just the single simulator
 // thread, so it maps to schedule(0, fn): the task runs at the current
 // sim-time, FIFO with everything else scheduled now.  Only new
-// (transport-aware) drivers call it.
+// (transport-aware) drivers call it.  run_checks() keeps the base's
+// inline default: the checks run in list order, stopping at the first
+// failure, the same crypto in the same order as one sequential
+// verification.
 
 #pragma once
 

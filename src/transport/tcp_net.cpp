@@ -436,6 +436,14 @@ void TcpNet::post(NodeId node, std::function<void()> fn) {
 
 bn::Rng& TcpNet::rng(NodeId node) { return *endpoints_.at(node)->rng; }
 
+std::size_t TcpNet::run_checks(std::span<const std::function<bool()>> checks) {
+  // running_ publishes pool_ (see start()); after stop() the checks run
+  // inline, like any straggling strand task.
+  if (running_.load(std::memory_order_acquire))
+    return pool_->run_checks(checks);
+  return Transport::run_checks(checks);
+}
+
 std::uint16_t TcpNet::port(NodeId node) const {
   return endpoints_.at(node)->port;
 }

@@ -18,6 +18,9 @@
 //   * send() may be called from any thread: it frames the message and
 //     appends it to the (from,to) connection's outbound queue, then wakes
 //     the io thread via eventfd.
+//   * run_checks() forks a handler's independent checks onto the same
+//     pool and joins caller-runs: the strand thread runs every check no
+//     idle worker has claimed, so it never waits on queued work.
 //
 // Reliability model is deliberately UDP-like, matching what the actors'
 // retry/failover discipline was built for: a send may be silently lost
@@ -146,6 +149,10 @@ class TcpNet final : public Transport {
   /// sends carry their context in the wire frame's trace envelope, so
   /// spans stitch across nodes over real TCP.
   obs::Tracer* tracer() const override { return tracer_; }
+  /// Overlaps the checks on the worker pool, the calling thread taking
+  /// part (verify::WorkerPool::run_checks); inline while not running.
+  std::size_t run_checks(
+      std::span<const std::function<bool()>> checks) override;
   /// The owned tracer's sink; nullptr when a tracer was injected (the
   /// injector owns the sink then).
   obs::TraceSink* trace_sink() const { return owned_sink_.get(); }

@@ -32,10 +32,17 @@
 //     strand (the simnet implementation returns the network's shared
 //     stream — safe there because the whole simulation is one thread, and
 //     it keeps every draw in one seeded sequence).
+//   * run_checks() runs a handler's independent, side-effect-free checks
+//     and returns the index of the first failing one in list order.  The
+//     default, which the simnet implementation keeps, runs them inline,
+//     in order, stopping at the first failure (so a seeded run replays
+//     exactly); TcpNet overlaps them on its worker pool, the calling
+//     strand taking part.
 
 #pragma once
 
 #include <functional>
+#include <span>
 
 #include "bn/rng.h"
 #include "obs/trace.h"
@@ -74,6 +81,15 @@ class Transport {
 
   /// The tracer observing this transport, or nullptr when tracing is off.
   virtual obs::Tracer* tracer() const = 0;
+
+  /// Runs `checks` (each returns true on success; none may touch strand
+  /// state) and returns the index of the first failing one in list order,
+  /// or checks.size().  Checks after the first failure may or may not run;
+  /// every check started has finished when this returns.  Call with no
+  /// lock held.  This default runs each check in order on the calling
+  /// thread, stopping at the first failure.
+  virtual std::size_t run_checks(
+      std::span<const std::function<bool()>> checks);
 };
 
 }  // namespace p2pcash::transport

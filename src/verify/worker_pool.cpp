@@ -1,6 +1,8 @@
 #include "verify/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 #include "obs/metrics_registry.h"
@@ -48,6 +50,47 @@ void WorkerPool::submit(Task task) {
 void WorkerPool::drain() {
   sync::MutexLock lock(mu_);
   while (!queue_.empty() || in_flight_ != 0) idle_cv_.wait(mu_);
+}
+
+std::size_t WorkerPool::run_checks(
+    std::span<const std::function<bool()>> checks) {
+  const std::size_t n = checks.size();
+  if (n == 0) return 0;
+  const std::size_t helpers = std::min(n, workers_.size()) - 1;
+  // Shared with the helper tasks, which may start after this call has
+  // returned: they then find `next` past the end and leave.
+  struct Join {
+    std::span<const std::function<bool()>> checks;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> first_failure;
+    std::atomic<std::size_t> finished{0};
+
+    void work() {
+      const std::size_t count = checks.size();
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        std::size_t first = first_failure.load(std::memory_order_relaxed);
+        if (i < first && !checks[i]()) {
+          while (i < first && !first_failure.compare_exchange_weak(
+                                  first, i, std::memory_order_relaxed)) {
+          }
+        }
+        // Release: the check's writes happen before the caller's read.
+        if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 == count)
+          finished.notify_all();
+      }
+    }
+  };
+  auto join = std::make_shared<Join>();
+  join->checks = checks;
+  join->first_failure.store(n, std::memory_order_relaxed);
+  for (std::size_t h = 0; h < helpers; ++h) submit([join] { join->work(); });
+  join->work();
+  for (std::size_t done = join->finished.load(std::memory_order_acquire);
+       done != n; done = join->finished.load(std::memory_order_acquire))
+    join->finished.wait(done, std::memory_order_acquire);
+  return join->first_failure.load(std::memory_order_relaxed);
 }
 
 void WorkerPool::worker_loop() {

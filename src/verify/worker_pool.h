@@ -4,20 +4,23 @@
 // runs strands of different endpoints concurrently, which is what lets
 // the striped WitnessService (src/ecash/witness) serve sign_transcript
 // calls for different coins in parallel.  `drain()` is the barrier
-// TcpNet::stop() waits on.
+// TcpNet::stop() waits on.  `run_checks()` is a caller-runs fork/join: a
+// strand overlaps one handler's independent checks on otherwise idle
+// workers.
 //
 // Lock discipline: the queue mutex sits ABOVE the service level (kPool)
 // because tasks always run with it released — a worker dequeues under the
-// lock, drops it, then executes.  Submitting from inside a task or while
-// holding a service lock would be flagged by the lock-order checker, which
-// is intentional: both are liveness hazards (a full queue would deadlock
-// against its own workers).
+// lock, drops it, then executes.  A task may submit (a strand resubmits
+// itself, run_checks forks), but submitting while holding a service lock
+// is flagged by the lock-order checker, which is intentional: a task that
+// waits on work queued behind a lock it holds is a liveness hazard.
 
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,6 +54,18 @@ class WorkerPool {
   /// Blocks until every submitted task has finished executing (queue empty
   /// AND no task in flight).  New submissions during a drain extend it.
   void drain();
+
+  /// Caller-runs fork/join over independent checks (each returns true on
+  /// success).  Submits up to thread_count() - 1 helper tasks, then the
+  /// calling thread claims checks in list order too; a check is claimed
+  /// once, by whichever thread gets it first, and none after a known
+  /// failure is started.  The caller waits only for checks other threads
+  /// are already running, so no thread, queue or timeout is added, a busy
+  /// pool leaves the caller running them all, and one worker (or a caller
+  /// that is itself a worker) cannot deadlock.  Returns the index of the
+  /// first failing check in list order, or checks.size().  Helpers that
+  /// start after the join claim nothing and never touch `checks`.
+  std::size_t run_checks(std::span<const std::function<bool()>> checks);
 
   /// Wires the pool's dark corners into a metrics registry:
   ///   <prefix>queue_delay_ms   histogram — submit-to-dequeue latency

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "crypto/chacha.h"
@@ -248,6 +249,29 @@ TEST(LogStore, OversizedLengthPrefixIsCorruptionNotAllocation) {
   EXPECT_EQ(rec.deltas[0], bytes_of("fine"));
   EXPECT_EQ(log.stats().truncated_bytes, 8u);
   EXPECT_EQ(vfs.contents("log"), genuine);
+}
+
+TEST(LogStore, OversizedRecordIsRefusedBeforeAnyByteIsWritten) {
+  // The open-time scan treats a payload over max_record_bytes as
+  // corruption, so writing one would lose it and every later record.
+  MemVfs vfs;
+  LogStore::Options options;
+  options.max_record_bytes = 64;
+  {
+    LogStore log(vfs, "log", options);
+    EXPECT_THROW(log.append(std::vector<std::uint8_t>(100, 0xab)),
+                 std::length_error);
+    EXPECT_THROW(log.checkpoint(std::vector<std::uint8_t>(100, 0xab)),
+                 std::length_error);
+    EXPECT_EQ(log.size_bytes(), 0u);
+    log.append(bytes_of("small"));
+    log.commit();
+  }
+  LogStore reopened(vfs, "log", options);
+  auto rec = reopened.recover();
+  ASSERT_EQ(rec.deltas.size(), 1u);
+  EXPECT_EQ(rec.deltas[0], bytes_of("small"));
+  EXPECT_EQ(reopened.stats().truncated_bytes, 0u);
 }
 
 TEST(LogStore, FlippedCrcByteDropsTheRecordAndEverythingAfter) {

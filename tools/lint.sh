@@ -7,7 +7,11 @@
 #                    code (self-test, then the tree);
 #   3. layering   — src/transport sits below src/actors and includes
 #                    none of its headers (the transport never retries;
-#                    the actors' retry loop is the only one);
+#                    the actors' retry loop is the only one); src/ecash
+#                    includes no transport/ or verify/ header (the
+#                    runner for a payment's checks is injected into it
+#                    as a callable, so the protocol layer knows no
+#                    threads);
 #   4. clang-tidy over first-party sources when it is available; otherwise
 #      a strict-warning build (-DP2PCASH_WERROR=ON), which promotes the
 #      escalated warning set (-Wconversion -Wshadow -Wold-style-cast ...)
@@ -38,6 +42,11 @@ python3 tools/det_lint.py
 echo "== lint.sh: layering (src/transport includes nothing from actors/)"
 if grep -rnE '#[[:space:]]*include[[:space:]]*[<"]actors/' src/transport; then
   echo "lint.sh: src/transport must not include actors/ headers" >&2
+  exit 1
+fi
+echo "== lint.sh: layering (src/ecash includes nothing from transport/ or verify/)"
+if grep -rnE '#[[:space:]]*include[[:space:]]*[<"](transport|verify)/' src/ecash; then
+  echo "lint.sh: src/ecash must not include transport/ or verify/ headers" >&2
   exit 1
 fi
 
