@@ -6,8 +6,8 @@
 // each witness entry's signature, the probe sequence, the transfer chain,
 // the NIZK, each witness commitment.  None reads another's result, so
 // they may run in any order or at once.  The stateful part of each entry
-// point (seen/pending maps, the witness stripe, the journal) stays on the
-// calling thread and runs only after every check passed.
+// point (seen/pending maps, the witness's spend state, the journal) stays
+// on the calling thread and runs only after every check passed.
 //
 // The caller supplies the runner as a callable, so this layer knows
 // nothing of threads: the actors pass their transport's.  An empty runner

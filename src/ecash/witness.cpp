@@ -33,17 +33,12 @@ WitnessService::WitnessService(group::SchnorrGroup grp,
 Outcome<WitnessCommitment> WitnessService::request_commitment(
     const Hash256& coin_hash, const Hash256& nonce, Timestamp now) {
   store::StoreCommit store_commit(store_);
-  Timestamp ttl;
-  {
-    sync::MutexLock lock(mu_);
-    ttl = commitment_ttl_;
-  }
-  Stripe& s = stripe_for(coin_hash);
-  sync::MutexLock lock(s.mu);
-  auto it = s.commitments.find(coin_hash);
-  if (it != s.commitments.end() && now < it->second.commitment.expires &&
+  sync::MutexLock lock(mu_);
+  auto it = state_.commitments.find(coin_hash);
+  if (it != state_.commitments.end() && now < it->second.commitment.expires &&
       !it->second.consumed && it->second.commitment.nonce != nonce &&
-      !s.spent.contains(coin_hash) && !s.double_spent.contains(coin_hash)) {
+      !state_.spent.contains(coin_hash) &&
+      !state_.double_spent.contains(coin_hash)) {
     // A different, still-pending transaction holds a live promise-to-sign
     // on this fresh coin ("must not issue new commitments ... until this
     // commitment expires").  Once the coin has a spend record the promise
@@ -54,29 +49,25 @@ Outcome<WitnessCommitment> WitnessService::request_commitment(
   }
   // Commit to what we currently know about the coin.
   CommittedValue value;
-  if (auto ds = s.double_spent.find(coin_hash); ds != s.double_spent.end()) {
+  if (auto ds = state_.double_spent.find(coin_hash);
+      ds != state_.double_spent.end()) {
     value = CommittedValue::extracted(ds->second.proof.secrets);
-  } else if (auto sp = s.spent.find(coin_hash); sp != s.spent.end()) {
-    sync::MutexLock rng_lock(rng_mu_);
+  } else if (auto sp = state_.spent.find(coin_hash); sp != state_.spent.end()) {
     value = CommittedValue::prior_transcript(sp->second.transcript, rng_);
   } else {
-    sync::MutexLock rng_lock(rng_mu_);
     value = CommittedValue::fresh(rng_);
   }
   WitnessCommitment commitment;
   commitment.coin_hash = coin_hash;
   commitment.nonce = nonce;
   commitment.value_hash = value.hash();
-  commitment.expires = now + ttl;
+  commitment.expires = now + commitment_ttl();
   commitment.witness = id_;
-  {
-    sync::MutexLock rng_lock(rng_mu_);
-    commitment.witness_sig = key_.sign(commitment.signed_payload(), rng_);
-  }
-  s.commitments[coin_hash] =
+  commitment.witness_sig = key_.sign(commitment.signed_payload(), rng_);
+  state_.commitments[coin_hash] =
       CommitmentRecord{commitment, std::move(value), /*consumed=*/false};
   wire::Writer w;
-  delta_commitment(w, coin_hash, s.commitments[coin_hash]);
+  delta_commitment(w, coin_hash, state_.commitments[coin_hash]);
   journal(w);
   return commitment;
 }
@@ -96,30 +87,29 @@ Outcome<SignResult> WitnessService::sign_transcript(
   store::StoreCommit store_commit(store_);
   const Coin& coin = transcript.coin;
   const Hash256 coin_hash = coin.bare.coin_hash();
-  const bool faulty = is_faulty();
 
-  // Fast path without crypto, peeked under the stripe.
+  // Fast path without crypto, peeked under the lock.
   {
-    const Stripe& s = stripe_for(coin_hash);
-    sync::MutexLock lock(s.mu);
+    sync::MutexLock lock(mu_);
     // Coin already known double-spent — return the stored proof ("the
     // witness will either be spared all significant crypto operations").
-    if (auto ds = s.double_spent.find(coin_hash);
-        ds != s.double_spent.end() && !faulty) {
+    if (auto ds = state_.double_spent.find(coin_hash);
+        ds != state_.double_spent.end() && !faulty_) {
       return SignResult{ds->second.proof};
     }
     // Idempotent retry of the very same transcript: re-issue the
     // endorsement rather than treating the retransmission as a second spend.
-    if (auto sp = s.spent.find(coin_hash);
-        sp != s.spent.end() && sp->second.transcript == transcript) {
+    if (auto sp = state_.spent.find(coin_hash);
+        sp != state_.spent.end() && sp->second.transcript == transcript) {
       return SignResult{sp->second.endorsement};
     }
   }
 
   // Full verification of the presented coin (ours? valid? unexpired?) and
   // its payment NIZK (1 Hash for d + 3 Exp), as independent checks on
-  // `runner`.  They read immutable inputs with no lock held; the spend
-  // state is re-checked under the stripe.
+  // `runner`.  They read immutable inputs with no lock held (the runner
+  // may hand them to the worker pool, whose lock ranks above ours); the
+  // spend state is re-checked under the lock.
   std::vector<Check> checks = presented_coin_checks(coin, coin_hash, now);
   checks.emplace_back([this, &transcript]() -> Outcome<std::monostate> {
     if (!verify_transcript_proof(grp_, transcript))
@@ -128,169 +118,140 @@ Outcome<SignResult> WitnessService::sign_transcript(
   });
   if (auto ok = run_checks(checks, runner); !ok) return ok.refusal();
 
-  std::optional<DoubleSpendProof> stale_evidence;
-  bool signed_new = false;
-  // The state machine runs under the coin's stripe; the two mu_-guarded
-  // side effects (stale-owner evidence, the signing counter) are deferred
-  // until the stripe is released — mu_ sits above kShard and must never be
-  // acquired while a stripe is held.
-  Outcome<SignResult> result = [&]() -> Outcome<SignResult> {
-    Stripe& s = stripe_for(coin_hash);
-    sync::MutexLock lock(s.mu);
+  sync::MutexLock lock(mu_);
 
-    // Re-check the fast-path states: another payment of this coin may have
-    // raced us between the unlocked verification and this lock.
-    if (auto ds = s.double_spent.find(coin_hash);
-        ds != s.double_spent.end()) {
-      if (!faulty) return SignResult{ds->second.proof};
-    }
-    if (auto sp = s.spent.find(coin_hash);
-        sp != s.spent.end() && sp->second.transcript == transcript) {
-      return SignResult{sp->second.endorsement};
-    }
+  // Re-check the fast-path states: another payment of this coin may have
+  // raced us between the unlocked verification and this lock.
+  if (auto ds = state_.double_spent.find(coin_hash);
+      ds != state_.double_spent.end()) {
+    if (!faulty_) return SignResult{ds->second.proof};
+  }
+  if (auto sp = state_.spent.find(coin_hash);
+      sp != state_.spent.end() && sp->second.transcript == transcript) {
+    return SignResult{sp->second.endorsement};
+  }
 
-    // Transfer-chain consistency: the coin must answer to the commitments
-    // we currently hold it to.  A previous owner spending a stale copy
-    // after transferring the coin away incriminates itself: its payment
-    // response and the recorded transfer-link response open the same
-    // commitments under different challenges.
-    static const std::vector<TransferLink> kEmptyChain;
-    auto chain_it = s.chains.find(coin_hash);
-    const auto& recorded =
-        chain_it == s.chains.end() ? kEmptyChain : chain_it->second;
-    if (coin.transfers != recorded) {
-      const bool is_prefix =
-          coin.transfers.size() < recorded.size() &&
-          std::equal(coin.transfers.begin(), coin.transfers.end(),
-                     recorded.begin());
-      if (is_prefix && !faulty) {
-        const TransferLink& next = recorded[coin.transfers.size()];
-        nizk::ChallengeResponse from_transfer{
-            transfer_challenge(grp_, coin, next.new_a, next.new_b,
-                               next.datetime),
-            nizk::Response{next.r1, next.r2}};
-        nizk::ChallengeResponse from_payment{
-            payment_challenge(grp_, coin, transcript.merchant,
-                              transcript.datetime),
-            transcript.resp};
-        if (auto extracted =
-                nizk::extract(grp_, from_transfer, from_payment)) {
-          // The proof opens the *stale* commitments: it incriminates the
-          // previous owner but must not invalidate the coin for its
-          // current holder — so it is kept as evidence, not as a
-          // double-spend record.
-          auto commitments = current_commitments(coin);
-          DoubleSpendProof proof;
-          proof.coin_hash = coin_hash;
-          proof.a = commitments.a;
-          proof.b = commitments.b;
-          proof.secrets = *extracted;
-          stale_evidence = proof;
-          // The stale owner's commitment (if it obtained one) is
-          // discharged by this refusal — it must not block the rightful
-          // current owner.
-          if (auto commit_it = s.commitments.find(coin_hash);
-              commit_it != s.commitments.end() &&
-              payment_nonce(transcript.salt, transcript.merchant) ==
-                  commit_it->second.commitment.nonce) {
-            commit_it->second.consumed = true;
-            wire::Writer w;
-            delta_commitment(w, coin_hash, commit_it->second);
-            journal(w);
-          }
-          return SignResult{std::move(proof)};
-        }
-      }
-      return Refusal{RefusalReason::kDoubleSpent,
-                     "stale or divergent transfer chain"};
-    }
-
-    // Enforce the commitment binding: nonce must equal h(salt || I_M)
-    // ("refusing transaction if this check fails").
-    auto commit_it = s.commitments.find(coin_hash);
-    if (commit_it == s.commitments.end())
-      return Refusal{RefusalReason::kStaleRequest,
-                     "no commitment requested for this coin"};
-    const WitnessCommitment& commitment = commit_it->second.commitment;
-    if (now >= commitment.expires)
-      return Refusal{RefusalReason::kStaleRequest, "commitment expired"};
-    if (payment_nonce(transcript.salt, transcript.merchant) !=
-        commitment.nonce)
-      return Refusal{RefusalReason::kBadNonce,
-                     "nonce does not bind this merchant"};
-
-    // Double-spend check: a prior transcript with a different challenge
-    // lets us extract the representations (paper §6 footnote 4).
-    if (auto sp = s.spent.find(coin_hash); sp != s.spent.end() && !faulty) {
-      const PaymentTranscript& prior = sp->second.transcript;
-      nizk::ChallengeResponse first{
-          payment_challenge(grp_, prior.coin, prior.merchant,
-                            prior.datetime),
-          prior.resp};
-      nizk::ChallengeResponse second{
+  // Transfer-chain consistency: the coin must answer to the commitments we
+  // currently hold it to.  A previous owner spending a stale copy after
+  // transferring the coin away incriminates itself: its payment response
+  // and the recorded transfer-link response open the same commitments
+  // under different challenges.
+  static const std::vector<TransferLink> kEmptyChain;
+  auto chain_it = state_.chains.find(coin_hash);
+  const auto& recorded =
+      chain_it == state_.chains.end() ? kEmptyChain : chain_it->second;
+  if (coin.transfers != recorded) {
+    const bool is_prefix =
+        coin.transfers.size() < recorded.size() &&
+        std::equal(coin.transfers.begin(), coin.transfers.end(),
+                   recorded.begin());
+    if (is_prefix && !faulty_) {
+      const TransferLink& next = recorded[coin.transfers.size()];
+      nizk::ChallengeResponse from_transfer{
+          transfer_challenge(grp_, coin, next.new_a, next.new_b,
+                             next.datetime),
+          nizk::Response{next.r1, next.r2}};
+      nizk::ChallengeResponse from_payment{
           payment_challenge(grp_, coin, transcript.merchant,
                             transcript.datetime),
           transcript.resp};
-      auto extracted = nizk::extract(grp_, first, second);
-      if (!extracted) {
-        // Identical challenge but different transcript bytes: a malformed
-        // replay; refuse without proof.
-        return Refusal{RefusalReason::kDoubleSpent,
-                       "coin already spent (identical challenge)"};
+      if (auto extracted = nizk::extract(grp_, from_transfer, from_payment)) {
+        // The proof opens the *stale* commitments: it incriminates the
+        // previous owner but must not invalidate the coin for its current
+        // holder — so it is kept as evidence, not as a double-spend
+        // record.
+        auto commitments = current_commitments(coin);
+        DoubleSpendProof proof;
+        proof.coin_hash = coin_hash;
+        proof.a = commitments.a;
+        proof.b = commitments.b;
+        proof.secrets = *extracted;
+        stale_owner_evidence_.push_back(proof);
+        // The stale owner's commitment (if it obtained one) is discharged
+        // by this refusal — it must not block the rightful current owner.
+        if (auto commit_it = state_.commitments.find(coin_hash);
+            commit_it != state_.commitments.end() &&
+            payment_nonce(transcript.salt, transcript.merchant) ==
+                commit_it->second.commitment.nonce) {
+          commit_it->second.consumed = true;
+          wire::Writer w;
+          delta_commitment(w, coin_hash, commit_it->second);
+          journal(w);
+        }
+        return SignResult{std::move(proof)};
       }
-      auto commitments = current_commitments(coin);
-      DoubleSpendProof proof;
-      proof.coin_hash = coin_hash;
-      proof.a = commitments.a;
-      proof.b = commitments.b;
-      proof.secrets = *extracted;
-      // Keep only the proof; drop the transcripts (privacy: do not reveal
-      // where the coin was first spent).
-      s.double_spent[coin_hash] = DoubleSpentRecord{proof};
-      s.spent.erase(coin_hash);
-      commit_it->second.consumed = true;  // promise discharged by the proof
-      wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
-      delta_spent_erase(w, coin_hash);
-      delta_commitment(w, coin_hash, commit_it->second);
-      journal(w);
-      return SignResult{std::move(proof)};
     }
+    return Refusal{RefusalReason::kDoubleSpent,
+                   "stale or divergent transfer chain"};
+  }
 
-    // First (or faulty-witness) spend: countersign the transcript.
-    WitnessEndorsement endorsement;
-    endorsement.witness = id_;
-    {
-      sync::MutexLock rng_lock(rng_mu_);
-      endorsement.signature = key_.sign(transcript.signed_payload(), rng_);
+  // Enforce the commitment binding: nonce must equal h(salt || I_M)
+  // ("refusing transaction if this check fails").
+  auto commit_it = state_.commitments.find(coin_hash);
+  if (commit_it == state_.commitments.end())
+    return Refusal{RefusalReason::kStaleRequest,
+                   "no commitment requested for this coin"};
+  const WitnessCommitment& commitment = commit_it->second.commitment;
+  if (now >= commitment.expires)
+    return Refusal{RefusalReason::kStaleRequest, "commitment expired"};
+  if (payment_nonce(transcript.salt, transcript.merchant) != commitment.nonce)
+    return Refusal{RefusalReason::kBadNonce,
+                   "nonce does not bind this merchant"};
+
+  // Double-spend check: a prior transcript with a different challenge lets
+  // us extract the representations (paper §6 footnote 4).
+  if (auto sp = state_.spent.find(coin_hash);
+      sp != state_.spent.end() && !faulty_) {
+    const PaymentTranscript& prior = sp->second.transcript;
+    nizk::ChallengeResponse first{
+        payment_challenge(grp_, prior.coin, prior.merchant, prior.datetime),
+        prior.resp};
+    nizk::ChallengeResponse second{
+        payment_challenge(grp_, coin, transcript.merchant,
+                          transcript.datetime),
+        transcript.resp};
+    auto extracted = nizk::extract(grp_, first, second);
+    if (!extracted) {
+      // Identical challenge but different transcript bytes: a malformed
+      // replay; refuse without proof.
+      return Refusal{RefusalReason::kDoubleSpent,
+                     "coin already spent (identical challenge)"};
     }
-    s.spent[coin_hash] = SpentRecord{transcript, endorsement};
-    // The commitment is fulfilled; keep the record (the arbiter may ask us
-    // to reveal v during conflict resolution) but allow fresh commitments.
-    commit_it->second.consumed = true;
-    signed_new = true;
+    auto commitments = current_commitments(coin);
+    DoubleSpendProof proof;
+    proof.coin_hash = coin_hash;
+    proof.a = commitments.a;
+    proof.b = commitments.b;
+    proof.secrets = *extracted;
+    // Keep only the proof; drop the transcripts (privacy: do not reveal
+    // where the coin was first spent).
+    state_.double_spent[coin_hash] = DoubleSpentRecord{proof};
+    state_.spent.erase(coin_hash);
+    commit_it->second.consumed = true;  // promise discharged by the proof
     wire::Writer w;
-    delta_spent(w, coin_hash, s.spent[coin_hash]);
+    delta_double_spent(w, coin_hash, state_.double_spent[coin_hash]);
+    delta_spent_erase(w, coin_hash);
     delta_commitment(w, coin_hash, commit_it->second);
     journal(w);
-    return SignResult{std::move(endorsement)};
-  }();
-  if (stale_evidence || signed_new) {
-    sync::MutexLock lock(mu_);
-    if (stale_evidence)
-      stale_owner_evidence_.push_back(std::move(*stale_evidence));
-    if (signed_new) {
-      ++coins_signed_;
-      // Journaled as its own record: the counter lives under mu_, above the
-      // stripe, so it cannot ride the spend record.  A torn tail between
-      // the two costs one counter tick of an unacknowledged operation —
-      // a performance statistic, never a safety invariant.
-      wire::Writer w;
-      delta_counters(w, coins_signed_);
-      journal(w);
-    }
+    return SignResult{std::move(proof)};
   }
-  return result;
+
+  // First (or faulty-witness) spend: countersign the transcript.
+  WitnessEndorsement endorsement;
+  endorsement.witness = id_;
+  endorsement.signature = key_.sign(transcript.signed_payload(), rng_);
+  state_.spent[coin_hash] = SpentRecord{transcript, endorsement};
+  // The commitment is fulfilled; keep the record (the arbiter may ask us to
+  // reveal v during conflict resolution) but allow fresh commitments.
+  commit_it->second.consumed = true;
+  ++state_.coins_signed;
+  // One record: the spend, its commitment and the counter recover together.
+  wire::Writer w;
+  delta_spent(w, coin_hash, state_.spent[coin_hash]);
+  delta_commitment(w, coin_hash, commit_it->second);
+  delta_counters(w, state_.coins_signed);
+  journal(w);
+  return SignResult{std::move(endorsement)};
 }
 
 std::vector<Check> WitnessService::presented_coin_checks(
@@ -345,14 +306,12 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   using TransferResult = std::variant<TransferLink, DoubleSpendProof>;
   store::StoreCommit store_commit(store_);
   const Hash256 coin_hash = coin.bare.coin_hash();
-  const bool faulty = is_faulty();
 
   // Fast path without crypto: the coin is already known double-spent.
   {
-    const Stripe& s = stripe_for(coin_hash);
-    sync::MutexLock lock(s.mu);
-    if (auto ds = s.double_spent.find(coin_hash);
-        ds != s.double_spent.end() && !faulty) {
+    sync::MutexLock lock(mu_);
+    if (auto ds = state_.double_spent.find(coin_hash);
+        ds != state_.double_spent.end() && !faulty_) {
       return TransferResult{ds->second.proof};
     }
   }
@@ -373,20 +332,19 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   const bool ownership_ok = nizk::verify_response(
       grp_, {commitments.a, commitments.b}, d, response);
 
-  Stripe& s = stripe_for(coin_hash);
-  sync::MutexLock lock(s.mu);
+  sync::MutexLock lock(mu_);
 
-  // Re-check under the stripe: a racing payment/transfer may have landed.
-  if (auto ds = s.double_spent.find(coin_hash);
-      ds != s.double_spent.end() && !faulty) {
+  // Re-check under the lock: a racing payment/transfer may have landed.
+  if (auto ds = state_.double_spent.find(coin_hash);
+      ds != state_.double_spent.end() && !faulty_) {
     return TransferResult{ds->second.proof};
   }
 
   // Chain consistency with our records.
   static const std::vector<TransferLink> kEmptyChain;
-  auto chain_it = s.chains.find(coin_hash);
+  auto chain_it = state_.chains.find(coin_hash);
   const auto& recorded =
-      chain_it == s.chains.end() ? kEmptyChain : chain_it->second;
+      chain_it == state_.chains.end() ? kEmptyChain : chain_it->second;
   if (coin.transfers != recorded) {
     const bool is_prefix =
         coin.transfers.size() < recorded.size() &&
@@ -402,7 +360,7 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
         nizk::Response{next.r1, next.r2} == response) {
       return TransferResult{next};
     }
-    if (faulty) return Refusal{RefusalReason::kInternal, "faulty witness"};
+    if (faulty_) return Refusal{RefusalReason::kInternal, "faulty witness"};
     // Double transfer: the recorded link and this request answer the same
     // commitments under different challenges — extract.
     nizk::ChallengeResponse first{
@@ -415,9 +373,9 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
       proof.a = commitments.a;
       proof.b = commitments.b;
       proof.secrets = *extracted;
-      s.double_spent[coin_hash] = DoubleSpentRecord{proof};
+      state_.double_spent[coin_hash] = DoubleSpentRecord{proof};
       wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
+      delta_double_spent(w, coin_hash, state_.double_spent[coin_hash]);
       journal(w);
       return TransferResult{std::move(proof)};
     }
@@ -426,7 +384,8 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   }
 
   // A spent coin cannot be transferred; the attempt incriminates the owner.
-  if (auto sp = s.spent.find(coin_hash); sp != s.spent.end() && !faulty) {
+  if (auto sp = state_.spent.find(coin_hash);
+      sp != state_.spent.end() && !faulty_) {
     const PaymentTranscript& prior = sp->second.transcript;
     nizk::ChallengeResponse from_payment{
         payment_challenge(grp_, prior.coin, prior.merchant, prior.datetime),
@@ -438,10 +397,10 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
       proof.a = commitments.a;
       proof.b = commitments.b;
       proof.secrets = *extracted;
-      s.double_spent[coin_hash] = DoubleSpentRecord{proof};
-      s.spent.erase(coin_hash);
+      state_.double_spent[coin_hash] = DoubleSpentRecord{proof};
+      state_.spent.erase(coin_hash);
       wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
+      delta_double_spent(w, coin_hash, state_.double_spent[coin_hash]);
       delta_spent_erase(w, coin_hash);
       journal(w);
       return TransferResult{std::move(proof)};
@@ -462,13 +421,10 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   link.datetime = datetime;
   link.witness = id_;
   auto position = static_cast<std::uint32_t>(coin.transfers.size());
-  {
-    sync::MutexLock rng_lock(rng_mu_);
-    auto signature = key_.sign(link.signed_payload(coin_hash, position), rng_);
-    link.sig_e = signature.e;
-    link.sig_s = signature.s;
-  }
-  auto& chain = s.chains[coin_hash];
+  auto signature = key_.sign(link.signed_payload(coin_hash, position), rng_);
+  link.sig_e = signature.e;
+  link.sig_s = signature.s;
+  auto& chain = state_.chains[coin_hash];
   chain = coin.transfers;
   chain.push_back(link);
   wire::Writer w;
@@ -479,66 +435,45 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
 
 Outcome<CommittedValue> WitnessService::reveal_committed_value(
     const Hash256& coin_hash) {
-  Stripe& s = stripe_for(coin_hash);
-  sync::MutexLock lock(s.mu);
-  auto it = s.commitments.find(coin_hash);
-  if (it == s.commitments.end())
+  sync::MutexLock lock(mu_);
+  auto it = state_.commitments.find(coin_hash);
+  if (it == state_.commitments.end())
     return Refusal{RefusalReason::kStaleRequest,
                    "no commitment stored for this coin"};
   return it->second.value;
 }
 
 bool WitnessService::has_double_spend_record(const Hash256& coin_hash) const {
-  const Stripe& s = stripe_for(coin_hash);
-  sync::MutexLock lock(s.mu);
-  return s.double_spent.contains(coin_hash);
+  sync::MutexLock lock(mu_);
+  return state_.double_spent.contains(coin_hash);
 }
 
 std::vector<std::uint8_t> WitnessService::snapshot_state() const {
-  // Stripes are locked one at a time (holding two is a lock-order
-  // violation); a concurrent writer can interleave, so snapshots of a live
-  // service are per-stripe consistent, same as any point-in-time read
-  // would be.
-  std::uint64_t coins_signed;
-  {
-    sync::MutexLock lock(mu_);
-    coins_signed = coins_signed_;
-  }
+  sync::MutexLock lock(mu_);
+  return snapshot_locked();
+}
+
+std::vector<std::uint8_t> WitnessService::snapshot_locked() const {
   wire::Writer w;
   w.put_string(kCheckpointMagic);
-  delta_counters(w, coins_signed);
-  for (const Stripe& s : stripes_) {
-    sync::MutexLock lock(s.mu);
-    for (const auto& [hash, record] : s.commitments)
-      delta_commitment(w, hash, record);
-    for (const auto& [hash, record] : s.spent) delta_spent(w, hash, record);
-    for (const auto& [hash, record] : s.double_spent)
-      delta_double_spent(w, hash, record);
-    for (const auto& [hash, chain] : s.chains) delta_chain(w, hash, chain);
-  }
+  delta_counters(w, state_.coins_signed);
+  for (const auto& [hash, record] : state_.commitments)
+    delta_commitment(w, hash, record);
+  for (const auto& [hash, record] : state_.spent) delta_spent(w, hash, record);
+  for (const auto& [hash, record] : state_.double_spent)
+    delta_double_spent(w, hash, record);
+  for (const auto& [hash, chain] : state_.chains) delta_chain(w, hash, chain);
   w.put_u8(kCheckpointEnd);
   return w.take();
 }
 
 void WitnessService::restore_state(std::span<const std::uint8_t> snapshot) {
-  install(decode_checkpoint(snapshot));
+  Durable state = decode_checkpoint(snapshot);
+  sync::MutexLock lock(mu_);
+  state_ = std::move(state);
   // An externally supplied snapshot supersedes the journal: compact so the
   // store and the in-memory state agree again.
-  if (store_ != nullptr) store_->checkpoint(snapshot_state());
-}
-
-void WitnessService::install(Durable&& state) {
-  for (std::size_t i = 0; i < kStripeCount; ++i) {
-    Stripe& s = stripes_[i];
-    StripeTables& staged = state.stripes[i];
-    sync::MutexLock lock(s.mu);
-    s.commitments = std::move(staged.commitments);
-    s.spent = std::move(staged.spent);
-    s.double_spent = std::move(staged.double_spent);
-    s.chains = std::move(staged.chains);
-  }
-  sync::MutexLock lock(mu_);
-  coins_signed_ = state.coins_signed;
+  if (store_ != nullptr) store_->checkpoint(snapshot_locked());
 }
 
 // ---- store journaling ------------------------------------------------------
@@ -608,37 +543,36 @@ void WitnessService::decode_record(std::uint8_t tag, wire::Reader& r,
     into.coins_signed = r.get_u64();
     return;
   }
-  // Every other record is keyed by its coin hash, which picks the stripe.
+  // Every other record is keyed by its coin hash.
   const Hash256 hash = read_hash256(r);
-  StripeTables& s = into.stripes[stripe_index(hash)];
   switch (tag) {
     case kDeltaCommitment: {
       CommitmentRecord record;
       record.commitment = WitnessCommitment::decode(r);
       record.value = CommittedValue::decode(r);
       record.consumed = r.get_u8() != 0;
-      s.commitments[hash] = std::move(record);
+      into.commitments[hash] = std::move(record);
       break;
     }
     case kDeltaSpent: {
       SpentRecord record;
       record.transcript = PaymentTranscript::decode(r);
       record.endorsement = WitnessEndorsement::decode(r);
-      s.spent[hash] = std::move(record);
+      into.spent[hash] = std::move(record);
       break;
     }
     case kDeltaDoubleSpent:
-      s.double_spent[hash] = DoubleSpentRecord{DoubleSpendProof::decode(r)};
+      into.double_spent[hash] = DoubleSpentRecord{DoubleSpendProof::decode(r)};
       break;
     case kDeltaChain: {
       std::vector<TransferLink> chain;
       for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
         chain.push_back(TransferLink::decode(r));
-      s.chains[hash] = std::move(chain);
+      into.chains[hash] = std::move(chain);
       break;
     }
     case kDeltaSpentErase:
-      s.spent.erase(hash);
+      into.spent.erase(hash);
       break;
     default:
       throw wire::DecodeError("witness record: unknown tag");
@@ -646,6 +580,7 @@ void WitnessService::decode_record(std::uint8_t tag, wire::Reader& r,
 }
 
 void WitnessService::attach_store(store::Store& store) {
+  sync::MutexLock lock(mu_);
   // Re-attach after a crash/restart: the previous store may already be
   // destroyed, so drop the pointer before anything can journal through
   // it.
@@ -654,7 +589,7 @@ void WitnessService::attach_store(store::Store& store) {
     // Fresh store: a genesis checkpoint makes the (empty but versioned)
     // snapshot durable before the first operation is acknowledged.
     store_ = &store;
-    store.checkpoint(snapshot_state());
+    store.checkpoint(snapshot_locked());
     return;
   }
   store::Recovered rec = store.recover();
@@ -663,12 +598,13 @@ void WitnessService::attach_store(store::Store& store) {
     wire::Reader r(delta);
     while (!r.at_end()) decode_record(r.get_u8(), r, state);
   }
-  install(std::move(state));
+  state_ = std::move(state);
   store_ = &store;
 }
 
 void WitnessService::checkpoint_store() {
-  if (store_ != nullptr) store_->checkpoint(snapshot_state());
+  sync::MutexLock lock(mu_);
+  if (store_ != nullptr) store_->checkpoint(snapshot_locked());
 }
 
 }  // namespace p2pcash::ecash

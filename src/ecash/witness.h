@@ -18,25 +18,18 @@
 // representations and the coin hash, "dropping all transcripts", so it can
 // prove double-spending without revealing where the coin was first spent.
 //
-// Thread safety: a witness serves commitment/sign requests from many
-// payers at once, and its whole purpose is an atomic check-then-sign —
-// two racing spends of one coin must yield exactly one endorsement.  The
-// coin-keyed state (commitments, spent records, double-spend proofs,
-// transfer chains) is sharded into stripes by coin-hash prefix, each with
-// its own mutex, so concurrent payments of DIFFERENT coins proceed in
-// parallel while two racing spends of ONE coin still serialize on that
-// coin's stripe.  The expensive cryptography (coin checks, NIZK/signature
-// verification) runs on immutable inputs with no lock held; only the
-// state transition itself happens under the stripe, with the spend state
-// re-checked there (check-outside / decide-under-lock).  A service-level
-// mutex guards the scalar config and accounting fields, and the shared
-// `rng` has a dedicated guard so countersignings on different stripes can
-// draw from it safely; it must not be used concurrently by other
-// components.
+// Thread safety: a witness is the one serial authority for its coins, and
+// its whole purpose is an atomic check-then-sign — two racing spends of
+// one coin must yield exactly one endorsement.  As in Broker, one mutex
+// guards all of its state.  The expensive cryptography (coin checks,
+// NIZK/signature verification) runs on immutable inputs with no lock
+// held; only the state transition itself happens under the lock, with the
+// spend state re-checked there (check-outside / decide-under-lock).  The
+// shared `rng` is only drawn from under the lock; it must not be used
+// concurrently by other components.
 
 #pragma once
 
-#include <array>
 #include <map>
 #include <span>
 #include <variant>
@@ -60,15 +53,8 @@ class WitnessService {
   const MerchantId& id() const { return id_; }
   const sig::PublicKey& public_key() const { return key_.public_key(); }
 
-  /// How long a commitment stays live (t_e - now). Default 30 s.
-  void set_commitment_ttl(Timestamp ttl_ms) {
-    sync::MutexLock lock(mu_);
-    commitment_ttl_ = ttl_ms;
-  }
-  Timestamp commitment_ttl() const {
-    sync::MutexLock lock(mu_);
-    return commitment_ttl_;
-  }
+  /// How long a commitment stays live (t_e - now): 30 s.
+  static constexpr Timestamp commitment_ttl() { return 30'000; }
 
   /// Step 1 -> 2.  Refuses with kCommitmentOutstanding while an unexpired
   /// commitment for the same coin exists ("the witness must not issue new
@@ -107,18 +93,16 @@ class WitnessService {
   bool has_double_spend_record(const Hash256& coin_hash) const;
   /// Proofs extracted against *stale* owners of transferred coins (their
   /// old commitments).  These incriminate the previous owner without
-  /// invalidating the coin for its rightful current holder.  Returns a
-  /// reference into live state: quiescent audit reads only, hence the
-  /// analysis opt-out.
-  const std::vector<DoubleSpendProof>& stale_owner_evidence() const
-      P2P_NO_THREAD_SAFETY_ANALYSIS {
+  /// invalidating the coin for its rightful current holder.
+  std::vector<DoubleSpendProof> stale_owner_evidence() const {
+    sync::MutexLock lock(mu_);
     return stale_owner_evidence_;
   }
   /// Number of coins this witness has countersigned (its "performance",
   /// which the broker feeds back into range sizes).
   std::uint64_t coins_signed() const {
     sync::MutexLock lock(mu_);
-    return coins_signed_;
+    return state_.coins_signed;
   }
 
   /// Fault injection for tests/benches: a faulty witness signs transcripts
@@ -152,9 +136,9 @@ class WitnessService {
   // Same contract as Broker::attach_store: with a store attached, every
   // state transition (commitment issued, coin countersigned, double-spend
   // recorded, transfer chained) journals one atomic delta record under the
-  // coin's stripe and commits it before the entry point returns.  An
-  // acknowledged endorsement therefore survives a kill — the witness can
-  // never be tricked into double-signing by crashing it.
+  // lock and commits it before the entry point returns.  An acknowledged
+  // endorsement therefore survives a kill — the witness can never be
+  // tricked into double-signing by crashing it.
 
   /// Attaches a store while the service is quiescent.  Empty store →
   /// genesis checkpoint; non-empty → state replaced by checkpoint + deltas,
@@ -183,35 +167,6 @@ class WitnessService {
     DoubleSpendProof proof;
   };
 
-  /// Coin-keyed state is sharded by coin-hash prefix: the top kStripeBits
-  /// of the hash's first byte pick the stripe.  Because the stripe index
-  /// is the most-significant prefix, visiting stripes in order and each
-  /// stripe's maps in order yields global Hash256 order, so a snapshot
-  /// is canonical without merging the stripes.
-  static constexpr std::size_t kStripeBits = 4;
-  static constexpr std::size_t kStripeCount = std::size_t{1} << kStripeBits;
-
-  struct Stripe {
-    /// Every stripe shares one name and level (sync::level::kShard), so
-    /// the runtime lock-order checker reports any attempt to hold two
-    /// stripes at once — stripes may only be visited sequentially.
-    mutable sync::Mutex mu{"ecash.witness_stripe", sync::level::kShard};
-    std::map<Hash256, CommitmentRecord> commitments P2P_GUARDED_BY(mu);
-    std::map<Hash256, SpentRecord> spent P2P_GUARDED_BY(mu);
-    std::map<Hash256, DoubleSpentRecord> double_spent P2P_GUARDED_BY(mu);
-    std::map<Hash256, std::vector<TransferLink>> chains P2P_GUARDED_BY(mu);
-  };
-
-  static std::size_t stripe_index(const Hash256& coin_hash) {
-    return coin_hash[0] >> (8 - kStripeBits);
-  }
-  Stripe& stripe_for(const Hash256& coin_hash) {
-    return stripes_[stripe_index(coin_hash)];
-  }
-  const Stripe& stripe_for(const Hash256& coin_hash) const {
-    return stripes_[stripe_index(coin_hash)];
-  }
-
   /// Finds this witness's entry index in the coin, verifying the witness
   /// point; nullopt if the coin is not ours.  Immutable inputs only.
   std::optional<std::size_t> own_entry_index(const Coin& coin,
@@ -227,19 +182,14 @@ class WitnessService {
                                            const Hash256& coin_hash,
                                            Timestamp now) const;
 
-  bool is_faulty() const {
-    sync::MutexLock lock(mu_);
-    return faulty_;
-  }
-
   // ---- store journaling (see attach_store) ----
   //
-  // Encoders are static over the record values (no stripe annotation
-  // needed); callers journal while holding the coin's stripe, which is
-  // legal because kStore sits below kShard.  One wire::Writer per entry
-  // point → one log record → torn tails never persist half a transition.
+  // One wire::Writer per entry point → one log record → torn tails never
+  // persist half a transition.  Encoders are static over the record
+  // values; callers journal while holding mu_ (kStore sits below
+  // kService).
   /// Appends `w` as one delta record; no-op when no store is attached.
-  void journal(const wire::Writer& w);
+  void journal(const wire::Writer& w) P2P_REQUIRES(mu_);
   static void delta_commitment(wire::Writer& w, const Hash256& hash,
                                const CommitmentRecord& record);
   static void delta_spent(wire::Writer& w, const Hash256& hash,
@@ -251,47 +201,38 @@ class WitnessService {
   static void delta_spent_erase(wire::Writer& w, const Hash256& hash);
   static void delta_counters(wire::Writer& w, std::uint64_t coins_signed);
 
-  /// Everything a checkpoint holds, staged lock-free by recovery: the
-  /// delta_* encoders above are the only writers of each record's fields
-  /// and decode_record the only reader (last-wins per key).  Installed
-  /// under the locks only once every record has decoded.
-  struct StripeTables {
+  /// Everything a checkpoint holds: the live state, and what recovery
+  /// stages into lock-free.  The delta_* encoders above are the only
+  /// writers of each record's fields and decode_record the only reader
+  /// (last-wins per key).
+  struct Durable {
     std::map<Hash256, CommitmentRecord> commitments;
     std::map<Hash256, SpentRecord> spent;
     std::map<Hash256, DoubleSpentRecord> double_spent;
     std::map<Hash256, std::vector<TransferLink>> chains;
-  };
-  struct Durable {
-    std::array<StripeTables, kStripeCount> stripes;
     std::uint64_t coins_signed = 0;
   };
+  std::vector<std::uint8_t> snapshot_locked() const P2P_REQUIRES(mu_);
   /// Decodes a checkpoint: magic, records up to the end marker.
   static Durable decode_checkpoint(std::span<const std::uint8_t> snapshot);
   /// Decodes the sub-record tagged `tag` into `into`; throws
   /// wire::DecodeError on an unknown tag.
   static void decode_record(std::uint8_t tag, wire::Reader& r, Durable& into);
-  /// Replaces the coin tables (one stripe lock at a time) and the counter.
-  void install(Durable&& state);
 
   group::SchnorrGroup grp_;    // immutable shared parameters: no guard
   sig::PublicKey broker_key_;  // fixed at construction
   MerchantId id_;              // fixed at construction
   sig::KeyPair key_;           // fixed at construction
-  bn::Rng& rng_;               // external; only drawn from under rng_mu_
+  bn::Rng& rng_;               // external; only drawn from under mu_
   /// Set by attach_store while quiescent, then only read — unguarded reads
   /// never race (same contract as Broker::store_).
   store::Store* store_ = nullptr;
-  /// Guards the scalar config/accounting fields.  Never acquired while a
-  /// stripe is held (kService > kShard: service lock first or not at all).
+  /// Serializes every state transition (see the thread-safety note in the
+  /// header comment).  Never held across the checks' runner: kPool ranks
+  /// above kService.
   mutable sync::Mutex mu_{"ecash.witness", sync::level::kService};
-  /// Guards draws from the shared rng_; taken inside a stripe when a
-  /// countersignature needs a nonce (kShardRng < kShard).
-  mutable sync::Mutex rng_mu_{"ecash.witness_rng", sync::level::kShardRng};
-  Timestamp commitment_ttl_ P2P_GUARDED_BY(mu_) = 30'000;
   bool faulty_ P2P_GUARDED_BY(mu_) = false;
-  std::uint64_t coins_signed_ P2P_GUARDED_BY(mu_) = 0;
-
-  std::array<Stripe, kStripeCount> stripes_;
+  Durable state_ P2P_GUARDED_BY(mu_);
   std::vector<DoubleSpendProof> stale_owner_evidence_ P2P_GUARDED_BY(mu_);
 };
 

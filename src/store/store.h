@@ -49,8 +49,8 @@ class Store {
   virtual bool empty() const = 0;
 
   /// Appends one delta record.  Cheap and non-durable until commit().
-  /// Thread-safe: services append while holding their own service/stripe
-  /// lock (sync::level::kStore sits below kService and kShard).
+  /// Thread-safe: services append while holding their own service lock
+  /// (sync::level::kStore sits below kService).
   virtual void append(std::span<const std::uint8_t> delta) = 0;
 
   /// Makes every previously appended delta durable.  Returning means the

@@ -93,18 +93,12 @@ namespace p2pcash::sync {
 ///                    lock is flagged as the liveness hazard it is).
 ///   kService (50)    ecash.broker, ecash.witness — service entry points;
 ///                    outermost, may call into group caches below.
-///   kShard (45)      ecash.witness_stripe — per-stripe coin-state locks.
-///                    All stripes share the level, so holding two stripes
-///                    at once is reported (stripes must be visited
-///                    sequentially, never nested).
 ///   kStore (42)      store.log — durable log store serialization (append
-///                    buffer, group-commit state).  Below kService and
-///                    kShard so broker/witness code may journal a delta
-///                    while holding its own service or stripe lock; the
-///                    group-commit leader releases it across fsync.
+///                    buffer, group-commit state).  Below kService so
+///                    broker/witness code may journal a delta while
+///                    holding its own service lock; the group-commit
+///                    leader releases it across fsync.
 ///   kActors (40)     actors.peer_health — breaker bookkeeping.
-///   kShardRng (35)   ecash.witness_rng — shared-RNG draw guard, taken
-///                    inside a stripe for countersigning.
 ///   kTracer (30)     obs.tracer — open-span map; calls into registry/sink.
 ///   kRegistry (20)   obs.metrics_registry — instrument maps; exports call
 ///                    into histograms/sink/group collectors below.
@@ -120,10 +114,8 @@ inline constexpr int kTransportTimer = 63;
 inline constexpr int kMailbox = 60;
 inline constexpr int kPool = 55;
 inline constexpr int kService = 50;
-inline constexpr int kShard = 45;
 inline constexpr int kStore = 42;
 inline constexpr int kActors = 40;
-inline constexpr int kShardRng = 35;
 inline constexpr int kTracer = 30;
 inline constexpr int kRegistry = 20;
 inline constexpr int kSink = 10;

@@ -1,9 +1,9 @@
 // worker_pool.h — a fixed-size worker pool: TcpNet's strand executor.
 //
 // transport::TcpNet submits one drain task per endpoint strand; the pool
-// runs strands of different endpoints concurrently, which is what lets
-// the striped WitnessService (src/ecash/witness) serve sign_transcript
-// calls for different coins in parallel.  `drain()` is the barrier
+// runs strands of different endpoints concurrently, so the witnesses of
+// different merchants (src/ecash/witness) serve sign_transcript calls in
+// parallel.  `drain()` is the barrier
 // TcpNet::stop() waits on.  `run_checks()` is a caller-runs fork/join: a
 // strand overlaps one handler's independent checks on otherwise idle
 // workers.

@@ -1,8 +1,8 @@
-// The worker pool (TcpNet's strand executor) + the striped witness hot
-// path.  Run under -DP2PCASH_SANITIZE=thread this is the TSan proof that
-// the witness's coin-hash-striped locking keeps check-then-sign atomic per
-// coin while payments of different coins proceed in parallel through
-// sign_transcript, the witness's one signing path.
+// The worker pool (TcpNet's strand executor) + the witness hot path.  Run
+// under -DP2PCASH_SANITIZE=thread this is the TSan proof that the
+// witness's one lock keeps check-then-sign atomic per coin while payments
+// run concurrently through sign_transcript, the witness's one signing
+// path, with their checks outside the lock.
 
 #include "verify/worker_pool.h"
 
@@ -68,7 +68,7 @@ TEST(WorkerPool, ZeroThreadsClampedToOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped witness: the signing path, alone and concurrent
+// The witness signing path, alone and concurrent
 // ---------------------------------------------------------------------------
 
 class VerifyPoolTest : public ecash::testing::EcashTest {
@@ -132,9 +132,9 @@ TEST_F(VerifyPoolTest, ForgedProofRefusedWithoutSpendingTheCoin) {
 
 TEST_F(VerifyPoolTest, PooledSigningOfDisjointCoinsAllEndorse) {
   // The hot path end to end: independent payments pipelined through
-  // the worker pool against striped witnesses.  Different coins land on
-  // different stripes, so the tasks genuinely interleave inside each
-  // WitnessService; every payment must still endorse exactly once.
+  // the worker pool, several tasks inside each WitnessService at once:
+  // their checks interleave outside the lock and every payment must still
+  // endorse exactly once.
   constexpr int kPayments = 24;
   std::map<MerchantId, std::vector<PaymentTranscript>> waves;
   for (int i = 0; i < kPayments; ++i) {
@@ -174,7 +174,7 @@ TEST_F(VerifyPoolTest, PooledSigningOfDisjointCoinsAllEndorse) {
 
 TEST_F(VerifyPoolTest, RacingSpendsOfOneCoinYieldOneEndorsementOneProof) {
   // Two transcripts of the same coin raced through the pool: whatever the
-  // interleaving, the stripe's check-then-sign must admit exactly one
+  // interleaving, the witness's check-then-sign must admit exactly one
   // endorsement, and the loser must receive a publicly verifiable proof.
   auto coin = withdraw(100, 1000);
   auto p = prepare(coin, non_witness_merchant(coin), 2000);
@@ -208,7 +208,7 @@ TEST_F(VerifyPoolTest, RacingSpendsOfOneCoinYieldOneEndorsementOneProof) {
 }
 
 TEST_F(VerifyPoolTest, SnapshotWhileSigningStaysConsistent) {
-  // Snapshots merge the stripes one lock at a time; taking them while the
+  // Snapshots are taken under the witness's lock; taking them while the
   // pool is signing must neither race (TSan) nor corrupt state — a final
   // quiescent snapshot must restore onto a fresh service byte-for-byte.
   constexpr int kPayments = 12;

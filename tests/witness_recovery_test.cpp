@@ -342,5 +342,55 @@ TEST_F(WitnessRecoveryTest, CrashPointMatrixLosesNoAcknowledgedSignature) {
   if (HasFailure()) dump_store_artifact("witness", final_log, bounds);
 }
 
+TEST_F(WitnessRecoveryTest, CountersignatureIsOneRecord) {
+  // A countersignature changes the spend, its commitment and coins_signed
+  // together.  A crash anywhere inside its log growth must recover either
+  // the state before it or the state after it, never a spend whose
+  // counter lags (a state the witness never acknowledged).
+  auto coin = withdraw(100);
+  const auto w = coin.coin.witnesses[0].merchant;
+  const std::string log_name = Deployment::witness_log_name(w);
+  auto& witness = *dep_.node(w).witness;
+
+  auto intent = wallet_->prepare_payment(coin, non_witness_merchant(coin));
+  auto commitment = witness.request_commitment(intent.coin_hash,
+                                               intent.nonce, 2000);
+  ASSERT_TRUE(commitment.ok());
+  const std::uint64_t before_offset = vfs_.contents(log_name).size();
+  const auto before = witness.snapshot_state();
+
+  auto transcript =
+      wallet_->build_transcript(coin, intent, {commitment.value()}, 2050);
+  ASSERT_TRUE(transcript.ok());
+  auto signed_result = witness.sign_transcript(transcript.value(), 2100);
+  ASSERT_TRUE(signed_result.ok()) << signed_result.refusal().detail;
+  ASSERT_TRUE(
+      std::holds_alternative<WitnessEndorsement>(signed_result.value()));
+  const auto log = vfs_.contents(log_name);
+  const auto after = witness.snapshot_state();
+  ASSERT_GT(log.size(), before_offset);
+  ASSERT_NE(after, before);
+
+  auto key = sig::KeyPair::from_secret(
+      dep_.grp(), dep_.node(w).merchant->key_pair().secret());
+  for (std::uint64_t cut = before_offset; cut <= log.size(); ++cut) {
+    const auto end = log.begin() + static_cast<std::ptrdiff_t>(cut);
+    store::MemVfs crashed;
+    crashed.set_contents(log_name, std::vector<std::uint8_t>(log.begin(), end));
+    store::LogStore reopened(crashed, log_name);
+    WitnessService reborn(dep_.grp(), dep_.broker().coin_key(), w, key,
+                          dep_.rng());
+    reborn.attach_store(reopened);
+    const auto recovered = reborn.snapshot_state();
+    if (cut == before_offset) {
+      EXPECT_EQ(recovered, before);
+    } else if (cut == log.size()) {
+      EXPECT_EQ(recovered, after);
+    } else {
+      EXPECT_TRUE(recovered == before || recovered == after) << "cut " << cut;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace p2pcash::ecash

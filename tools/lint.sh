@@ -12,7 +12,10 @@
 #                    runner for a payment's checks is injected into it
 #                    as a callable, so the protocol layer knows no
 #                    threads);
-#   4. clang-tidy over first-party sources when it is available; otherwise
+#   4. lock table — the sync::level constants in src/sync/annotated.h
+#                    and the level rows of docs/STATIC_ANALYSIS.md agree
+#                    in name and value;
+#   5. clang-tidy over first-party sources when it is available; otherwise
 #      a strict-warning build (-DP2PCASH_WERROR=ON), which promotes the
 #      escalated warning set (-Wconversion -Wshadow -Wold-style-cast ...)
 #      to errors under plain GCC/Clang.  When the compiler is clang, that
@@ -47,6 +50,17 @@ fi
 echo "== lint.sh: layering (src/ecash includes nothing from transport/ or verify/)"
 if grep -rnE '#[[:space:]]*include[[:space:]]*[<"](transport|verify)/' src/ecash; then
   echo "lint.sh: src/ecash must not include transport/ or verify/ headers" >&2
+  exit 1
+fi
+
+echo "== lint.sh: lock table (src/sync/annotated.h = docs/STATIC_ANALYSIS.md)"
+levels="$(sed -nE 's/^inline constexpr int (k[A-Za-z0-9]+) = ([0-9]+);$/\1 \2/p' \
+  src/sync/annotated.h | sort)"
+rows="$(sed -nE 's/^\| `(k[A-Za-z0-9]+)` \| ([0-9]+) \|.*/\1 \2/p' \
+  docs/STATIC_ANALYSIS.md | sort)"
+if [[ -z "$levels" || "$levels" != "$rows" ]]; then
+  diff <(echo "$levels") <(echo "$rows") | sed 's/^/  /' >&2 || true
+  echo "lint.sh: lock levels (<) and the docs/STATIC_ANALYSIS.md table (>) differ" >&2
   exit 1
 fi
 
